@@ -37,7 +37,6 @@ timeout_increment_ms = 100
 
 [kv]
 enabled = 1
-capacity = 16384
 pipeline_depth = 4
 batch_max_ops = 64
 batch_wait_ms = 2

@@ -3,8 +3,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <set>
 #include <typeinfo>
-#include <unordered_set>
+#include <vector>
 
 #include "net/env.hpp"
 #include "net/protocol_ids.hpp"
@@ -45,7 +46,7 @@ class ReliableBroadcast final : public Protocol {
   using DeliverFn = std::function<void(const RbEnvelope&)>;
 
   /// \p pid allows hosting several independent instances on one process
-  /// (e.g. one per replicated-log slot); it must match across processes.
+  /// (e.g. the kv batch-body RB); it must match across processes.
   explicit ReliableBroadcast(Env& env,
                              ProtocolId pid = protocol_ids::kReliableBroadcast);
 
@@ -69,19 +70,28 @@ class ReliableBroadcast final : public Protocol {
   void on_message(const Message& m) override;
 
   /// Number of distinct broadcasts delivered here (for tests).
-  [[nodiscard]] std::size_t delivered_count() const { return seen_.size(); }
+  [[nodiscard]] std::size_t delivered_count() const;
+
+  /// Delivered seqs held individually because an earlier seq of the same
+  /// origin is still missing. Everything else is summarized by one
+  /// watermark per origin, so in-order traffic keeps this at zero.
+  [[nodiscard]] std::size_t out_of_order_count() const;
 
  private:
+  /// Dedup state of one origin: seqs 1..contiguous are all delivered, plus
+  /// the seqs in `above`.
+  struct Seen {
+    std::uint64_t contiguous{0};
+    std::set<std::uint64_t> above;
+  };
+
   void diffuse_and_deliver(const RbEnvelope& envelope);
-  [[nodiscard]] static std::uint64_t key(const RbEnvelope& e) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.origin))
-            << 32) |
-           (e.seq & 0xffffffffULL);
-  }
+  /// Marks (origin, seq) delivered; false when it already was.
+  bool first_delivery(ProcessId origin, std::uint64_t seq);
 
   DeliverFn deliver_;
   std::uint64_t next_seq_{1};
-  std::unordered_set<std::uint64_t> seen_;
+  std::vector<Seen> seen_;  ///< indexed by origin
 };
 
 }  // namespace ecfd::broadcast

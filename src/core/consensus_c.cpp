@@ -25,8 +25,7 @@ void ConsensusC::start() {
   started_ = true;
   // Classic instances poll from the very start (existing deterministic
   // schedules depend on it). Instances with a wakeup hook are dormant
-  // until first proposed — their poll timer arms in begin_round_one(),
-  // so a pre-provisioned log slot nobody touches costs nothing.
+  // until first proposed — their poll timer arms in begin_round_one().
   if (!on_wakeup_) arm_poll();
   if (proposed_ && round_ == 0) begin_round_one();
 }

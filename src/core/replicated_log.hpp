@@ -1,16 +1,14 @@
 #pragma once
 
-#include <cassert>
+#include <cstdint>
+#include <deque>
 #include <functional>
 #include <limits>
-#include <map>
-#include <optional>
-#include <set>
+#include <memory>
+#include <typeinfo>
 #include <vector>
 
-#include "broadcast/reliable_broadcast.hpp"
 #include "core/consensus_c.hpp"
-#include "net/process_host.hpp"
 
 /// \file replicated_log.hpp
 /// State-machine replication on repeated instances of the paper's
@@ -24,19 +22,21 @@
 /// replica with nothing to say proposes a no-op — the classic Multi-Paxos
 /// idiom. No-ops consume a slot but are not applied.
 ///
-/// Usage: construct one LogReplica per process (same capacity and
-/// protocol_base everywhere), submit() commands at any time, and read the
-/// applied log. Slots are proposed strictly in order. With the default
-/// pipeline_depth of 1, slot k+1 is proposed once this replica has
-/// learned slot k's decision; deeper pipelines keep up to that many
-/// consecutive slots in flight, tracking which pending commands are
-/// already proposed so the same command is never racing itself in two
-/// slots.
+/// Usage: install one LogReplica per process (`host.emplace<LogReplica>(
+/// fd, cfg)`, same protocol_id everywhere), submit() commands at any time,
+/// and read the applied log. Slot k is proposed once slot
+/// k - pipeline_depth has decided here, so at most pipeline_depth
+/// consecutive slots are in flight and a command never races itself.
 ///
-/// The ctor is templated over the host because the same replica runs on
-/// all three Env backends (sim ProcessHost, sharded ThreadHost, UDP
-/// SocketEnv) — each exposes `emplace<P>(args...)` for protocol
-/// installation.
+/// The log is one protocol whose frames (SlotFrame) carry their slot
+/// number; nothing is provisioned up front. A slot's ConsensusC and
+/// ReliableBroadcast pair is created on first propose or first frame, and
+/// freed once the slot is applied (a decided instance is halted and has
+/// already relayed its decision). Live instances lie in a window of
+/// window() slots from the lowest slot not applied here. A frame past the
+/// window means the others moved on without this replica: it gives up the
+/// slots it is missing, keeps answering the live ones, and catches up only
+/// through install_snapshot().
 
 namespace ecfd::core {
 
@@ -44,7 +44,16 @@ namespace ecfd::core {
 inline constexpr consensus::Value kNoOpCommand =
     std::numeric_limits<consensus::Value>::min();
 
-class LogReplica {
+/// Wire body of the log protocol: one frame of slot \p slot's consensus or
+/// reliable-broadcast instance, wrapping that instance's own payload. The
+/// message type says which of the two it is addressed to.
+struct SlotFrame {
+  std::int32_t slot{0};
+  std::shared_ptr<const void> body{};
+  const std::type_info* body_type{nullptr};
+};
+
+class LogReplica final : public Protocol {
  public:
   /// Decided, applied log entry (no-ops excluded).
   struct Entry {
@@ -56,71 +65,34 @@ class LogReplica {
   using ApplyFn = std::function<void(const Entry&)>;
 
   struct Config {
-    /// Number of slots to pre-provision. Consensus instances must exist
-    /// on every host before their messages arrive, so the capacity is
-    /// fixed up front.
-    int capacity{16};
-    /// First protocol id of the block used by the instances; slot k
-    /// consumes ids base+2k (consensus) and base+2k+1 (broadcast). Must
-    /// not collide with other protocols and must match across processes.
-    ProtocolId protocol_base{1000};
+    /// Protocol id of the log's frames; must match across processes.
+    ProtocolId protocol_id{1000};
     /// Max consecutive slots proposed ahead of the decided prefix.
     int pipeline_depth{1};
+    /// Applied slots between the embedding's snapshots (KvService's
+    /// snapshot_every; 0 when it takes none). Only sizes window().
+    int snapshot_every{0};
     /// When false (the classic mode), every replica proposes a no-op the
-    /// moment a slot's gate opens, so the pipeline free-runs and the log
-    /// consumes slots even while idle — fine for unbounded demos, fatal
-    /// for a bounded service log. When true, a replica proposes into a
-    /// slot only when it has a pending command or the slot has shown
-    /// foreign traffic (another replica proposed first): an idle cluster
-    /// consumes no slots at all. A replica that submits while not the
-    /// FD leader can leave its slot parked until the leader next
-    /// submits — services that redirect writes to the leader (ecfd-kv)
-    /// make that window both rare and self-healing, because the retried
-    /// client lands on the leader and its submission unparks the slot.
+    /// moment a slot's gate opens, so the log free-runs even while idle.
+    /// When true, a replica proposes only when it has a pending command or
+    /// the slot has shown foreign traffic: an idle cluster consumes no
+    /// slots. A non-leader's submission can then stay parked until the
+    /// leader next submits — services that redirect writes to the leader
+    /// (ecfd-kv) make that rare and self-healing.
     bool quiescent{false};
     ConsensusC::Config consensus;
   };
 
-  /// Installs the instances on \p host (anything with
-  /// `emplace<P>(args...)` constructing P with (Env&, args...)). \p fd is
-  /// the host's ◇C module (not owned; must outlive the host).
-  template <class Host>
-  LogReplica(Host& host, const EcfdOracle* fd) : LogReplica(host, fd, Config{}) {}
+  /// \p fd is the host's ◇C module (not owned; must outlive the host).
+  LogReplica(Env& env, const EcfdOracle* fd);
+  LogReplica(Env& env, const EcfdOracle* fd, Config cfg);
+  ~LogReplica() override;
 
-  template <class Host>
-  LogReplica(Host& host, const EcfdOracle* fd, Config cfg)
-      : cfg_(cfg),
-        decided_(static_cast<std::size_t>(cfg.capacity)),
-        proposed_(static_cast<std::size_t>(cfg.capacity), kNoOpCommand),
-        sent_(static_cast<std::size_t>(cfg.capacity), 0) {
-    assert(cfg_.capacity > 0);
-    assert(cfg_.pipeline_depth > 0);
-    slots_.reserve(static_cast<std::size_t>(cfg_.capacity));
-    ConsensusC::Config slot_cfg = cfg_.consensus;
-    slot_cfg.deprioritized = kNoOpCommand;  // real commands win ties
-    for (int k = 0; k < cfg_.capacity; ++k) {
-      auto& rb = host.template emplace<broadcast::ReliableBroadcast>(
-          cfg_.protocol_base + 2 * k + 1);
-      auto& cons = host.template emplace<ConsensusC>(
-          fd, &rb, slot_cfg, cfg_.protocol_base + 2 * k);
-      cons.set_on_decide([this, k](const consensus::Decision& d) {
-        on_slot_decided(k, d);
-      });
-      if (cfg_.quiescent) {
-        cons.set_on_wakeup([this, k]() { on_slot_activity(k); });
-      }
-      slots_.push_back(&cons);
-    }
-    // Kick slot 0 so the pipeline runs even if nothing is ever submitted
-    // (other replicas' slots need our participation). Quiescent logs skip
-    // this: slots start on first submit or first foreign traffic.
-    propose_next();
-  }
+  void start() override;
+  void on_message(const Message& m) override;
 
-  LogReplica(const LogReplica&) = delete;
-  LogReplica& operator=(const LogReplica&) = delete;
-
-  /// Queues \p command (!= kNoOpCommand) for replication.
+  /// Queues \p command (!= kNoOpCommand) for replication; proposing starts
+  /// with start().
   void submit(consensus::Value command);
 
   /// Callback invoked, in slot order, for every applied entry.
@@ -133,15 +105,27 @@ class LogReplica {
   /// Slots whose decision this replica has learned and applied.
   [[nodiscard]] int applied_slots() const { return applied_upto_; }
 
-  /// Commands submitted here and not yet decided anywhere.
-  [[nodiscard]] std::size_t pending() const { return pending_.size(); }
-
-  [[nodiscard]] int capacity() const { return cfg_.capacity; }
-
-  /// True when every slot has been consumed: nothing further can commit.
-  [[nodiscard]] bool exhausted() const {
-    return applied_upto_ >= cfg_.capacity;
+  /// Commands submitted here and not yet decided.
+  [[nodiscard]] std::size_t pending() const {
+    return queue_.size() + static_cast<std::size_t>(in_flight_);
   }
+
+  /// Max live instances: 2 * pipeline_depth + max(snapshot_every, 64).
+  /// A replica past the window has missed a snapshot's worth of slots, so
+  /// its peers hold a snapshot covering the gap; the 64-slot floor keeps
+  /// message reordering from counting as falling behind.
+  [[nodiscard]] int window() const;
+
+  /// Slots with a live consensus instance here (always <= window()).
+  [[nodiscard]] int live_instances() const { return live_; }
+
+  /// Highest slot this replica has created an instance for (-1: none).
+  [[nodiscard]] int head_slot() const { return head_; }
+
+  /// True while this replica has fallen behind the window: it gave up
+  /// slots it never learned and cannot apply or propose until
+  /// install_snapshot() covers them.
+  [[nodiscard]] bool behind() const { return applied_upto_ < base_; }
 
   /// Drops applied log entries for slots < \p upto_slot (the caller holds
   /// a snapshot of the state machine at that point). Clamped to the
@@ -152,27 +136,43 @@ class LogReplica {
   [[nodiscard]] int compacted_upto() const { return compacted_upto_; }
 
   /// Fast-forwards a lagging replica past slots [0, upto_slot): the
-  /// caller has installed a state-machine snapshot covering them, so they
-  /// are marked decided-and-applied without running apply callbacks.
-  /// Decisions that later arrive for those slots are ignored. No-op when
-  /// upto_slot <= applied_slots().
+  /// caller installed a state-machine snapshot covering them, so they
+  /// count as applied without apply callbacks. A command this replica
+  /// proposed into a covered, undecided slot is dropped from pending():
+  /// the snapshot already holds its fate, and re-proposing it could commit
+  /// it twice. No-op when upto_slot <= applied_slots().
   void install_snapshot(int upto_slot);
 
  private:
+  struct Instance;
+  class SlotEnv;
+
+  [[nodiscard]] Instance* at(int slot) const;
+  Instance& ensure(int slot);
+  void advance_base(int new_base);
+  void reap();
+  [[nodiscard]] bool decided(int slot) const;
   void on_slot_decided(int slot, const consensus::Decision& d);
   void on_slot_activity(int slot);
   void propose_into(int slot, consensus::Value v);
-  [[nodiscard]] consensus::Value pick_pending() const;
+  [[nodiscard]] consensus::Value take_queued();
   void propose_next();
   void drain_applied();
 
   Config cfg_;
-  std::vector<ConsensusC*> slots_;  // owned by the host
-  std::vector<std::optional<consensus::Decision>> decided_;
-  std::vector<consensus::Value> proposed_;  // per-slot proposed value
-  std::vector<char> sent_;                  // proposed into this slot yet?
-  std::vector<consensus::Value> pending_;
-  std::multiset<consensus::Value> in_flight_;  // proposed, not yet decided
+  const EcfdOracle* fd_;
+  /// Instances of slots [base_, base_ + window_.size()); null where this
+  /// replica has seen nothing yet.
+  std::deque<std::unique_ptr<Instance>> window_;
+  /// Freed instances, destroyed at the next frame or timer: a slot is
+  /// freed from inside its own decide callback.
+  std::vector<std::unique_ptr<Instance>> retired_;
+  int base_{0};
+  int live_{0};
+  int head_{-1};
+  bool started_{false};
+  std::deque<consensus::Value> queue_;  ///< submitted, not in any slot
+  int in_flight_{0};  ///< own commands proposed into undecided slots
   std::vector<Entry> log_;
   int next_proposal_slot_{0};
   int applied_upto_{0};

@@ -135,15 +135,15 @@ void KvService::handle_request_from(Token token, bool via_peer,
     }
   }
 
-  // Admission: refuse when the log cannot take more slots or too many
-  // flushed-but-undecided commands are already queued behind it. The
-  // per-batch wire bound is respected by construction: a batch flushes at
-  // batch_max_ops and one request adds at most kMaxOpsPerRequest, both
-  // far below kMaxOpsPerBatch.
+  // Admission: refuse, with an answer, when the log cannot take this
+  // request soon: this replica fell behind the log window and waits for a
+  // snapshot, a full window of flushed-but-undecided batches is already
+  // queued, or more than max_queued_cmds are. The per-batch wire bound is
+  // respected by construction: a batch flushes at batch_max_ops and one
+  // request adds at most kMaxOpsPerRequest, both far below kMaxOpsPerBatch.
   static_assert(kMaxOpsPerRequest * 2 <= kMaxOpsPerBatch);
-  if (log_->exhausted() ||
-      log_->applied_slots() + static_cast<int>(log_->pending()) >=
-          log_->capacity() ||
+  if (log_->behind() ||
+      log_->pending() >= static_cast<std::size_t>(log_->window()) ||
       log_->pending() >= cfg_.max_queued_cmds) {
     if (m_overload_) m_overload_->fetch_add(1, std::memory_order_relaxed);
     r.status = Status::kOverloaded;
@@ -298,7 +298,17 @@ void KvService::gossip_tick() {
 }
 
 void KvService::on_peer_applied(ProcessId peer, std::int64_t applied) {
-  peer_applied_[peer] = applied;
+  // A peer that made no progress for a whole gossip period while we are
+  // ahead is missing decisions nobody will resend (a lost relay, or slots
+  // it gave up past the log window). When our latest snapshot does not
+  // cover its prefix, take a fresh one: an idle cluster would otherwise
+  // never reach the next periodic snapshot, and the peer would stay stale
+  // (and unable to serve writes if it became leader).
+  const auto [it, first] = peer_applied_.try_emplace(peer, applied);
+  const bool stuck =
+      !first && it->second == applied && applied < applied_slot();
+  it->second = applied;
+  if (stuck && applied >= last_snapshot_upto_) snapshot_now();
   // Catch a lagging replica up when it is behind our compaction floor:
   // the slots it is missing no longer exist as log entries here.
   if (snapshot_.has_value() && applied < last_snapshot_upto_ &&
@@ -435,6 +445,7 @@ void KvService::bind_metrics(obs::MetricsRegistry* m) {
     m_requests_ = m_redirects_ = m_lease_reads_ = m_batches_ = m_batch_ops_ =
         m_overload_ = m_lease_grants_ = m_lease_revokes_ = m_snaps_taken_ =
             m_snaps_installed_ = nullptr;
+    gauges_ = Gauges{};
     return;
   }
   m_requests_ = m->counter("kv.requests");
@@ -447,28 +458,42 @@ void KvService::bind_metrics(obs::MetricsRegistry* m) {
   m_lease_revokes_ = m->counter("kv.lease.revokes");
   m_snaps_taken_ = m->counter("kv.snapshots.taken");
   m_snaps_installed_ = m->counter("kv.snapshots.installed");
+  gauges_.keys = m->gauge("kv.store.keys");
+  gauges_.sessions = m->gauge("kv.sessions");
+  gauges_.applied_slot = m->gauge("kv.applied_slot");
+  gauges_.log_entries = m->gauge("kv.log.entries");
+  gauges_.compacted_upto = m->gauge("kv.log.compacted_upto");
+  gauges_.window_live = m->gauge("kv.log.window_live");
+  gauges_.head_slot = m->gauge("kv.log.head_slot");
+  gauges_.lease_valid = m->gauge("kv.lease.valid");
+  gauges_.bodies_pending = m->gauge("kv.bodies.pending");
+  gauges_.apply_stalled = m->gauge("kv.apply.stalled");
+  gauges_.applied_writes = m->gauge("kv.store.applied_writes");
+  gauges_.dedup_hits = m->gauge("kv.store.dedup_hits");
+  gauges_.out_of_order = m->gauge("kv.store.out_of_order");
+  gauges_.log_reads = m->gauge("kv.store.log_reads");
   refresh_gauges();
 }
 
 void KvService::refresh_gauges() {
   if (metrics_ == nullptr) return;
-  metrics_->set_gauge("kv.store.keys",
-                      static_cast<std::int64_t>(store_.size()));
-  metrics_->set_gauge("kv.sessions",
-                      static_cast<std::int64_t>(store_.session_count()));
-  metrics_->set_gauge("kv.applied_slot", applied_slot());
-  metrics_->set_gauge("kv.log.entries",
-                      static_cast<std::int64_t>(log_->log().size()));
-  metrics_->set_gauge("kv.log.compacted_upto", log_->compacted_upto());
-  metrics_->set_gauge("kv.lease.valid", lease_valid_ ? 1 : 0);
-  metrics_->set_gauge("kv.bodies.pending",
-                      static_cast<std::int64_t>(bodies_.size()));
-  metrics_->set_gauge("kv.apply.stalled",
-                      static_cast<std::int64_t>(apply_queue_.size()));
-  metrics_->set_gauge("kv.store.applied_writes", store_.stats().applied_writes);
-  metrics_->set_gauge("kv.store.dedup_hits", store_.stats().dedup_hits);
-  metrics_->set_gauge("kv.store.out_of_order", store_.stats().out_of_order);
-  metrics_->set_gauge("kv.store.log_reads", store_.stats().log_reads);
+  const auto set = [](obs::MetricsRegistry::Cell* cell, std::int64_t v) {
+    cell->store(v, std::memory_order_relaxed);
+  };
+  set(gauges_.keys, static_cast<std::int64_t>(store_.size()));
+  set(gauges_.sessions, static_cast<std::int64_t>(store_.session_count()));
+  set(gauges_.applied_slot, applied_slot());
+  set(gauges_.log_entries, static_cast<std::int64_t>(log_->log().size()));
+  set(gauges_.compacted_upto, log_->compacted_upto());
+  set(gauges_.window_live, log_->live_instances());
+  set(gauges_.head_slot, log_->head_slot());
+  set(gauges_.lease_valid, lease_valid_ ? 1 : 0);
+  set(gauges_.bodies_pending, static_cast<std::int64_t>(bodies_.size()));
+  set(gauges_.apply_stalled, static_cast<std::int64_t>(apply_queue_.size()));
+  set(gauges_.applied_writes, store_.stats().applied_writes);
+  set(gauges_.dedup_hits, store_.stats().dedup_hits);
+  set(gauges_.out_of_order, store_.stats().out_of_order);
+  set(gauges_.log_reads, store_.stats().log_reads);
 }
 
 }  // namespace ecfd::kv

@@ -198,6 +198,24 @@ class KvService final : public Protocol {
   obs::MetricsRegistry::Cell* m_lease_revokes_{nullptr};
   obs::MetricsRegistry::Cell* m_snaps_taken_{nullptr};
   obs::MetricsRegistry::Cell* m_snaps_installed_{nullptr};
+  /// Gauge cells, bound once in bind_metrics() and stored on every drain.
+  struct Gauges {
+    obs::MetricsRegistry::Cell* keys{nullptr};
+    obs::MetricsRegistry::Cell* sessions{nullptr};
+    obs::MetricsRegistry::Cell* applied_slot{nullptr};
+    obs::MetricsRegistry::Cell* log_entries{nullptr};
+    obs::MetricsRegistry::Cell* compacted_upto{nullptr};
+    obs::MetricsRegistry::Cell* window_live{nullptr};
+    obs::MetricsRegistry::Cell* head_slot{nullptr};
+    obs::MetricsRegistry::Cell* lease_valid{nullptr};
+    obs::MetricsRegistry::Cell* bodies_pending{nullptr};
+    obs::MetricsRegistry::Cell* apply_stalled{nullptr};
+    obs::MetricsRegistry::Cell* applied_writes{nullptr};
+    obs::MetricsRegistry::Cell* dedup_hits{nullptr};
+    obs::MetricsRegistry::Cell* out_of_order{nullptr};
+    obs::MetricsRegistry::Cell* log_reads{nullptr};
+  };
+  Gauges gauges_;
 };
 
 }  // namespace ecfd::kv

@@ -104,6 +104,14 @@ class Env {
     obs_state_ring_ = rec == nullptr ? nullptr : &rec->state_ring(host);
   }
 
+  /// Records into whatever \p other is bound to: for an Env that wraps
+  /// another one on the same process (core/replicated_log.cpp).
+  void share_obs(const Env& other) {
+    obs_recorder_ = other.obs_recorder_;
+    obs_ring_ = other.obs_ring_;
+    obs_state_ring_ = other.obs_state_ring_;
+  }
+
  private:
   obs::Recorder* obs_recorder_{nullptr};
   obs::EventRing* obs_ring_{nullptr};

@@ -198,10 +198,11 @@ std::optional<NodeConfig> parse_node_config(const std::string& text,
       if (key == "enabled") {
         if (!parse_bool(value, &cfg.kv_enabled)) return bad("bad kv enabled");
       } else if (key == "capacity") {
-        if (!parse_i64(value, &i) || i <= 0 || i > (1 << 20)) {
-          return bad("bad kv capacity");
-        }
-        cfg.kv_capacity = static_cast<int>(i);
+        // Accepted and ignored, so configs written for a fixed slot
+        // budget still load.
+        cfg.notes.push_back(
+            "[kv] capacity is deprecated and ignored: the log has no slot "
+            "budget");
       } else if (key == "pipeline_depth") {
         if (!parse_i64(value, &i) || i <= 0 || i > 256) {
           return bad("bad kv pipeline_depth");

@@ -47,7 +47,6 @@
 ///
 ///   [kv]                      ; optional replicated key-value service
 ///   enabled = true
-///   capacity = 1024           ; replicated-log slots (fixed up front)
 ///   pipeline_depth = 4        ; slots proposed ahead of the decided prefix
 ///   batch_max_ops = 64
 ///   batch_wait_ms = 2
@@ -93,13 +92,16 @@ struct NodeConfig {
 
   // [kv] — the replicated key-value service (tools/ecfd_node --kv).
   bool kv_enabled{false};
-  int kv_capacity{1024};
   int kv_pipeline_depth{4};
   int kv_batch_max_ops{64};
   DurUs kv_batch_wait{msec(2)};
   DurUs kv_lease_establish{msec(500)};
   int kv_snapshot_every{64};
   int kv_dedup_window{64};
+
+  /// Non-fatal remarks about the text (deprecated keys), one line each,
+  /// for the caller to print.
+  std::vector<std::string> notes;
 
   [[nodiscard]] int n() const { return static_cast<int>(peers.size()); }
 };

@@ -8,6 +8,7 @@
 
 #include "broadcast/reliable_broadcast.hpp"
 #include "consensus/bodies.hpp"
+#include "core/replicated_log.hpp"
 #include "fd/ring_fd.hpp"
 #include "kv/command.hpp"
 #include "net/process_set.hpp"
@@ -25,7 +26,8 @@ using consensus::ProposeBody;
 using consensus::RoundOnly;
 using RingBody = fd::RingFd::Body;
 
-constexpr int kMaxNesting = 4;  ///< RbEnvelope payloads nest one level deep
+/// RbEnvelope and SlotFrame payloads nest (a slot's decide: two levels).
+constexpr int kMaxNesting = 4;
 
 bool set_error(std::string* error, const char* reason) {
   if (error) *error = reason;
@@ -221,6 +223,21 @@ bool decode_kv_snapshot(WireReader& r, kv::SnapshotChunk* out,
   return r.ok();
 }
 
+bool encode_payload(const std::type_info* type, const void* body,
+                    PayloadKind* kind, WireWriter& w, std::string* error);
+
+/// A payload carried inside another one: kind, length, bytes.
+bool encode_nested(const std::type_info* type, const void* body,
+                   WireWriter& w, std::string* error) {
+  PayloadKind inner{};
+  WireWriter nested;
+  if (!encode_payload(type, body, &inner, nested, error)) return false;
+  w.u16(static_cast<std::uint16_t>(inner));
+  w.u32(static_cast<std::uint32_t>(nested.size()));
+  w.bytes(nested.data().data(), nested.size());
+  return true;
+}
+
 /// Flattens one typed payload; returns false for types not in the registry.
 bool encode_payload(const std::type_info* type, const void* body,
                     PayloadKind* kind, WireWriter& w, std::string* error) {
@@ -280,14 +297,12 @@ bool encode_payload(const std::type_info* type, const void* body,
     w.i32(e.origin);
     w.u64(e.seq);
     w.i32(e.tag);
-    PayloadKind inner{};
-    WireWriter nested;
-    if (!encode_payload(e.body_type, e.body.get(), &inner, nested, error)) {
-      return false;
-    }
-    w.u16(static_cast<std::uint16_t>(inner));
-    w.u32(static_cast<std::uint32_t>(nested.size()));
-    w.bytes(nested.data().data(), nested.size());
+    return encode_nested(e.body_type, e.body.get(), w, error);
+  } else if (t == std::type_index(typeid(core::SlotFrame))) {
+    *kind = PayloadKind::kLogSlot;
+    const auto& f = *static_cast<const core::SlotFrame*>(body);
+    w.i32(f.slot);
+    return encode_nested(f.body_type, f.body.get(), w, error);
   } else {
     return set_error(error, "payload type not in wire registry");
   }
@@ -338,6 +353,15 @@ bool decode_u64_vector(WireReader& r, std::vector<std::uint64_t>* out,
   out->reserve(len);
   for (std::uint32_t i = 0; i < len; ++i) out->push_back(r.u64());
   return r.ok();
+}
+
+/// Reads the kind + length header of a nested payload and decodes it.
+bool decode_nested(WireReader& r, int depth, DecodedPayload* out,
+                   const char* truncated, std::string* error) {
+  const auto inner = static_cast<PayloadKind>(r.u16());
+  const std::uint32_t inner_len = r.u32();
+  if (!r.ok() || inner_len > r.remaining()) return set_error(error, truncated);
+  return decode_payload(inner, r, depth + 1, out, error);
 }
 
 template <class T>
@@ -440,16 +464,26 @@ bool decode_payload(PayloadKind kind, WireReader& r, int depth,
       e.origin = r.i32();
       e.seq = r.u64();
       e.tag = r.i32();
-      const auto inner = static_cast<PayloadKind>(r.u16());
-      const std::uint32_t inner_len = r.u32();
-      if (!r.ok() || inner_len > r.remaining()) {
-        return set_error(error, "truncated rb envelope");
-      }
       DecodedPayload nested;
-      if (!decode_payload(inner, r, depth + 1, &nested, error)) return false;
+      if (!decode_nested(r, depth, &nested, "truncated rb envelope", error)) {
+        return false;
+      }
       e.body = std::move(nested.body);
       e.body_type = nested.type;
       emplace_payload(out, std::move(e));
+      return true;
+    }
+    case PayloadKind::kLogSlot: {
+      core::SlotFrame f;
+      f.slot = r.i32();
+      if (!r.ok() || f.slot < 0) return set_error(error, "bad log slot");
+      DecodedPayload nested;
+      if (!decode_nested(r, depth, &nested, "truncated log slot", error)) {
+        return false;
+      }
+      f.body = std::move(nested.body);
+      f.body_type = nested.type;
+      emplace_payload(out, std::move(f));
       return true;
     }
   }

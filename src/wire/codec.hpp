@@ -67,6 +67,7 @@ enum class PayloadKind : std::uint16_t {
   kKvReply = 11,    ///< kv::Reply (server -> client envelope)
   kKvBatch = 12,    ///< kv::BatchBody (replicated command batch, over RB)
   kKvSnapshot = 13, ///< kv::SnapshotChunk (store snapshot transfer)
+  kLogSlot = 14,    ///< core::SlotFrame (carries a nested payload)
 };
 
 /// Encodes \p m into a self-contained frame. Returns false (and sets

@@ -123,5 +123,49 @@ TEST(ReliableBroadcast, EnvelopeCarriesOriginAndTag) {
   EXPECT_EQ(got_tag, 42);
 }
 
+TEST(ReliableBroadcast, InOrderTrafficKeepsOnlyOneWatermarkPerOrigin) {
+  // The dedup state of a long-lived instance (the kv batch-body RB) must
+  // not grow with the number of broadcasts: 100k in-order broadcasts
+  // leave each process holding its n per-origin watermarks and nothing
+  // else.
+  RbWorld s = make(3, 9);
+  for (int round = 0; round < 100; ++round) {
+    for (int i = 0; i < 1000; ++i) s.rb[0]->r_broadcast(1, std::string("m"));
+    s.sys->run_until(s.sys->now() + msec(50));
+  }
+  s.sys->run_until(s.sys->now() + sec(1));
+  for (int p = 0; p < 3; ++p) {
+    EXPECT_EQ(s.rb[p]->delivered_count(), 100'000u) << "process " << p;
+    EXPECT_EQ(s.rb[p]->out_of_order_count(), 0u) << "process " << p;
+  }
+}
+
+TEST(ReliableBroadcast, OutOfOrderSeqsAreHeldUntilTheGapCloses) {
+  RbWorld s = make(3, 10);
+  ReliableBroadcast& rb = *s.rb[1];
+  const auto relay = [&rb](std::uint64_t seq) {
+    RbEnvelope e;
+    e.origin = 2;
+    e.seq = seq;
+    e.tag = 1;
+    e.body = std::make_shared<const std::string>("s" + std::to_string(seq));
+    e.body_type = &typeid(std::string);
+    Message m = Message::make(protocol_ids::kReliableBroadcast, /*relay=*/1,
+                              "rb.relay", e);
+    m.src = 2;
+    rb.on_message(m);
+  };
+  relay(3);
+  relay(2);
+  EXPECT_EQ(rb.out_of_order_count(), 2u);
+  relay(3);  // duplicate of a held seq
+  relay(1);  // closes the gap: all three fold into the watermark
+  EXPECT_EQ(rb.out_of_order_count(), 0u);
+  relay(2);  // duplicate below the watermark
+  EXPECT_EQ(rb.delivered_count(), 3u);
+  EXPECT_EQ(s.delivered[1],
+            (std::vector<std::string>{"s3", "s2", "s1"}));
+}
+
 }  // namespace
 }  // namespace ecfd::broadcast

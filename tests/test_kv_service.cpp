@@ -28,7 +28,7 @@ constexpr std::uint64_t kSess = 0x5E55;
 struct Cluster {
   std::unique_ptr<System> sys;
   std::vector<std::unique_ptr<core::EcfdOracle>> oracles;
-  std::vector<std::unique_ptr<core::LogReplica>> logs;
+  std::vector<core::LogReplica*> logs;  // owned by the hosts
   std::vector<KvService*> services;
   /// Replies per host, in arrival order.
   std::map<int, std::vector<Reply>> replies;
@@ -36,7 +36,8 @@ struct Cluster {
 
 // Heap-allocated: the reply sinks capture the cluster's address.
 std::unique_ptr<Cluster> make_cluster(int n, std::uint64_t seed,
-                                      int snapshot_every = 64) {
+                                      int snapshot_every = 64,
+                                      std::size_t max_queued_cmds = 4096) {
   auto c = std::make_unique<Cluster>();
   Cluster* cp = c.get();
   c->sys = make_system(testutil::partial_sync_scenario(n, seed));
@@ -47,11 +48,11 @@ std::unique_ptr<Cluster> make_cluster(int n, std::uint64_t seed,
   for (ProcessId p = 0; p < n; ++p) {
     c->oracles.push_back(std::make_unique<core::EcfdFromRing>(rings[p]));
     core::LogReplica::Config lc;
-    lc.capacity = 256;
     lc.pipeline_depth = 2;
+    lc.snapshot_every = snapshot_every;
     lc.quiescent = true;
-    c->logs.push_back(std::make_unique<core::LogReplica>(
-        c->sys->host(p), c->oracles.back().get(), lc));
+    c->logs.push_back(
+        &c->sys->host(p).emplace<core::LogReplica>(c->oracles.back().get(), lc));
     auto& rb = c->sys->host(p).emplace<broadcast::ReliableBroadcast>(
         protocol_ids::kKvBatchRb);
     KvService::Config kc;
@@ -59,8 +60,9 @@ std::unique_ptr<Cluster> make_cluster(int n, std::uint64_t seed,
     kc.lease_establish = msec(300);
     kc.gossip_every = msec(100);
     kc.snapshot_every = snapshot_every;
+    kc.max_queued_cmds = max_queued_cmds;
     auto& svc = c->sys->host(p).emplace<KvService>(
-        c->oracles.back().get(), c->logs.back().get(), &rb, kc);
+        c->oracles.back().get(), c->logs.back(), &rb, kc);
     const int host = p;
     svc.set_reply_sink([cp, host](KvService::Token, const Reply& r) {
       cp->replies[host].push_back(r);
@@ -71,10 +73,10 @@ std::unique_ptr<Cluster> make_cluster(int n, std::uint64_t seed,
 }
 
 Request write_req(std::uint64_t tag, std::uint64_t seq, const std::string& key,
-                  const std::string& value) {
+                  const std::string& value, std::uint64_t session = kSess) {
   Request req;
   req.version = kProtoVersion;
-  req.session = kSess;
+  req.session = session;
   req.tag = tag;
   Op op;
   op.op = OpKind::kPut;
@@ -85,10 +87,10 @@ Request write_req(std::uint64_t tag, std::uint64_t seq, const std::string& key,
   return req;
 }
 
-Request open_req(std::uint64_t tag) {
+Request open_req(std::uint64_t tag, std::uint64_t session = kSess) {
   Request req;
   req.version = kProtoVersion;
-  req.session = kSess;
+  req.session = session;
   req.tag = tag;
   Op op;
   op.op = OpKind::kOpenSession;
@@ -256,6 +258,139 @@ TEST(KvService, PartitionedReplicaCatchesUpViaSnapshotInstall) {
   EXPECT_GT(c->logs[2]->compacted_upto(), 0) << "installed, not replayed";
   // The installed session table keeps dedup working on the joiner.
   EXPECT_EQ(c->services[2]->store().session_last_seq(kSess), 24u);
+}
+
+TEST(KvService, ReplicaPartitionedPastTheWindowRejoinsViaSnapshot) {
+  auto c = make_cluster(3, 7, /*snapshot_every=*/8);
+  c->sys->start();
+  c->sys->run_until(msec(400));
+  c->sys->network().partition(minority(3, 2));
+  c->sys->run_until(msec(600));
+
+  c->services[0]->handle_request(1, open_req(1));
+  c->sys->run_until(msec(800));
+  // Two windows of separate batches while p2 hears nothing.
+  const int window = c->logs[0]->window();
+  std::uint64_t q = 0;
+  while (c->logs[0]->applied_slots() < 2 * window) {
+    ++q;
+    c->services[0]->handle_request(
+        1, write_req(1 + q, q, "key" + std::to_string(q % 16), "v"));
+    c->sys->run_until(c->sys->now() + msec(10));
+    ASSERT_LT(c->sys->now(), sec(30));
+  }
+  c->sys->run_until(c->sys->now() + sec(1));
+  ASSERT_EQ(c->services[2]->applied_slot(), 0) << "p2 saw nothing";
+
+  // Heal, then keep writing: the live slots are past p2's window, so it
+  // gives up its gap, keeps answering the leader, and catches up through
+  // the snapshot that watermark gossip triggers.
+  c->sys->network().heal();
+  for (int i = 0; i < 20; ++i) {
+    ++q;
+    c->services[0]->handle_request(
+        1, write_req(1 + q, q, "key" + std::to_string(q % 16), "w"));
+    c->sys->run_until(c->sys->now() + msec(50));
+  }
+  c->sys->run_until(c->sys->now() + sec(2));
+
+  ASSERT_NE(reply_with_tag(*c, 0, 1 + q), nullptr) << "no stall after heal";
+  EXPECT_EQ(reply_with_tag(*c, 0, 1 + q)->status, Status::kOk);
+  EXPECT_EQ(c->services[2]->store().content_hash(),
+            c->services[0]->store().content_hash());
+  EXPECT_EQ(c->services[2]->store().session_last_seq(kSess), q);
+  EXPECT_FALSE(c->logs[2]->behind());
+  for (int p = 0; p < 3; ++p) {
+    EXPECT_LE(c->logs[p]->live_instances(), window) << "replica " << p;
+  }
+}
+
+TEST(KvService, IdleLaggerCatchesUpWithoutFurtherWrites) {
+  // p1 misses 31 slots, and the cluster goes idle right after the heal.
+  // The last periodic snapshot (every 8 slots) does not cover the last
+  // slots p1 missed, so the leader takes a fresh one once p1's gossiped
+  // watermark stops moving below its own.
+  auto c = make_cluster(3, 10, /*snapshot_every=*/8);
+  c->sys->start();
+  c->sys->run_until(msec(400));
+  ProcessSet lagger(3);
+  lagger.add(1);
+  c->sys->network().partition(lagger);
+  c->sys->run_until(msec(600));
+  c->services[0]->handle_request(1, open_req(1));
+  for (std::uint64_t q = 1; q <= 30; ++q) {
+    c->sys->run_until(c->sys->now() + msec(30));
+    c->services[0]->handle_request(1, write_req(1 + q, q, "k", "v"));
+  }
+  c->sys->run_until(c->sys->now() + sec(1));
+  ASSERT_EQ(c->services[0]->applied_slot(), 31);
+  ASSERT_EQ(c->services[1]->applied_slot(), 0);
+
+  c->sys->network().heal();
+  c->sys->run_until(c->sys->now() + sec(2));
+  EXPECT_EQ(c->services[1]->applied_slot(), 31);
+  EXPECT_EQ(c->services[1]->store().content_hash(),
+            c->services[0]->store().content_hash());
+}
+
+TEST(KvService, OverloadIsAnsweredNotSilent) {
+  // The leader is cut off from the majority, so nothing it queues can
+  // commit. Past max_queued_cmds every further write is refused on the
+  // spot with kOverloaded — well inside any client timeout.
+  auto c = make_cluster(3, 8, 64, /*max_queued_cmds=*/4);
+  c->sys->start();
+  c->sys->run_until(msec(400));
+  c->sys->network().partition(minority(3, 1));  // {p0} vs {p1, p2}
+
+  int overloaded = 0;
+  for (std::uint64_t q = 1; q <= 12; ++q) {
+    c->services[0]->handle_request(1, write_req(q, q, "k", "v"));
+    const Reply* r = reply_with_tag(*c, 0, q);
+    if (q > 4) {
+      ASSERT_NE(r, nullptr) << "request " << q << " answered at once";
+      EXPECT_EQ(r->status, Status::kOverloaded);
+      ++overloaded;
+    }
+    c->sys->run_until(c->sys->now() + msec(20));  // each write its own batch
+  }
+  EXPECT_EQ(overloaded, 8);
+  EXPECT_EQ(c->logs[0]->pending(), 4u);
+}
+
+TEST(KvService, SixtyOneShotClientsAllCommit) {
+  // The lifetime check of the old fixed slot budget: sixty one-shot
+  // clients (open a session, write once) need two slots each. Every one
+  // of them commits, and the live instances stay inside the window.
+  auto c = make_cluster(3, 9);
+  obs::MetricsRegistry metrics;
+  c->services[0]->bind_metrics(&metrics);
+  c->sys->start();
+  c->sys->run_until(msec(400));
+  for (std::uint64_t i = 1; i <= 60; ++i) {
+    const std::uint64_t session = 0x1000 + i;
+    c->services[0]->handle_request(1, open_req(2 * i, session));
+    c->sys->run_until(c->sys->now() + msec(30));
+    c->services[0]->handle_request(
+        1, write_req(2 * i + 1, 1, "k" + std::to_string(i), "v", session));
+    c->sys->run_until(c->sys->now() + msec(30));
+  }
+  c->sys->run_until(c->sys->now() + sec(1));
+  for (std::uint64_t tag = 2; tag <= 121; ++tag) {
+    const Reply* r = reply_with_tag(*c, 0, tag);
+    ASSERT_NE(r, nullptr) << "tag " << tag;
+    EXPECT_EQ(r->status, Status::kOk) << "tag " << tag;
+  }
+  EXPECT_GE(c->logs[0]->applied_slots(), 120);
+  EXPECT_EQ(c->services[2]->store().content_hash(),
+            c->services[0]->store().content_hash());
+  for (int p = 0; p < 3; ++p) {
+    EXPECT_LE(c->logs[p]->live_instances(), c->logs[p]->window());
+  }
+  // /metrics shows how close the node is to the window limit.
+  EXPECT_EQ(metrics.gauge_value("kv.log.head_slot"), c->logs[0]->head_slot());
+  EXPECT_EQ(metrics.gauge_value("kv.log.window_live"), 0);
+  EXPECT_EQ(metrics.gauge_value("kv.applied_slot"),
+            c->services[0]->applied_slot());
 }
 
 TEST(KvService, IdleClusterConsumesNoSlots) {

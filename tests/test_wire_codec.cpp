@@ -11,6 +11,7 @@
 
 #include "broadcast/reliable_broadcast.hpp"
 #include "consensus/bodies.hpp"
+#include "core/replicated_log.hpp"
 #include "fd/ring_fd.hpp"
 #include "kv/command.hpp"
 #include "net/process_set.hpp"
@@ -194,6 +195,55 @@ TEST(WireCodec, RbEnvelopeWithScalarAndEmptyBody) {
   const Message out2 = roundtrip(Message::make(
       protocol_ids::kReliableBroadcast, 1, "rb.relay", bare));
   EXPECT_EQ(out2.as<RbEnvelope>().body, nullptr);
+}
+
+TEST(WireCodec, LogSlotFramesNestConsensusAndBroadcastBodies) {
+  // The replicated log's frames: one protocol id, the slot number, and the
+  // slot's own consensus or reliable-broadcast body nested inside.
+  core::SlotFrame est;
+  est.slot = 70000;
+  est.body = std::make_shared<const consensus::EstimateBody>(
+      consensus::EstimateBody{2, 77, 1});
+  est.body_type = &typeid(consensus::EstimateBody);
+  const Message out = roundtrip(Message::make(1000, 2, "cons_c.estimate", est));
+  const auto& f = out.as<core::SlotFrame>();
+  EXPECT_EQ(f.slot, 70000);
+  ASSERT_EQ(*f.body_type, typeid(consensus::EstimateBody));
+  const auto& b = *static_cast<const consensus::EstimateBody*>(f.body.get());
+  EXPECT_EQ(b.round, 2);
+  EXPECT_EQ(b.value, 77);
+  EXPECT_EQ(b.ts, 1);
+
+  // A slot's decide travels two levels deep: slot frame, RB envelope,
+  // decision.
+  RbEnvelope env;
+  env.origin = 1;
+  env.seq = 3;
+  env.tag = 1;
+  env.body = std::make_shared<const consensus::DecideBody>(
+      consensus::DecideBody{4, -9});
+  env.body_type = &typeid(consensus::DecideBody);
+  core::SlotFrame relay;
+  relay.slot = 5;
+  relay.body = std::make_shared<const RbEnvelope>(env);
+  relay.body_type = &typeid(RbEnvelope);
+  const Message out2 = roundtrip(Message::make(1000, 17, "rb.relay", relay));
+  const auto& f2 = out2.as<core::SlotFrame>();
+  EXPECT_EQ(f2.slot, 5);
+  ASSERT_EQ(*f2.body_type, typeid(RbEnvelope));
+  const auto& e = *static_cast<const RbEnvelope*>(f2.body.get());
+  EXPECT_EQ(e.seq, 3u);
+  EXPECT_EQ(e.as<consensus::DecideBody>().value, -9);
+
+  // A negative slot is malformed.
+  core::SlotFrame bad;
+  bad.slot = -1;
+  std::string error;
+  EXPECT_FALSE(decode_message(
+                   encode_ok(Message::make(1000, 1, "cons_c.coord", bad)),
+                   &error)
+                   .has_value());
+  EXPECT_EQ(error, "bad log slot");
 }
 
 TEST(WireCodec, UnknownPayloadTypeIsAnEncodeError) {

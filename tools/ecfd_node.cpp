@@ -295,6 +295,9 @@ int main(int argc, char** argv) {
     std::cerr << "ecfd_node: " << error << "\n";
     return 2;
   }
+  for (const std::string& note : cfg->notes) {
+    std::cerr << "ecfd_node: note: " << note << "\n";
+  }
   if (id >= cfg->n()) {
     std::cerr << "ecfd_node: --id " << id << " out of range (n=" << cfg->n()
               << ")\n";
@@ -419,10 +422,10 @@ int main(int argc, char** argv) {
     cons = &env.emplace<core::ConsensusC>(stack.ecfd, &rb, cc);
   }
 
-  // The replicated key-value service: a LogReplica (one consensus + RB
-  // pair per slot), a dedicated RB instance for batch bodies, and the
+  // The replicated key-value service: a LogReplica (one slot-multiplexed
+  // log protocol), a dedicated RB instance for batch bodies, and the
   // service protocol that ties them to external clients.
-  std::unique_ptr<core::LogReplica> kv_log;
+  core::LogReplica* kv_log = nullptr;
   kv::KvService* kvs = nullptr;
   if (kv_flag || cfg->kv_enabled) {
     if (stack.ecfd == nullptr) {
@@ -430,11 +433,11 @@ int main(int argc, char** argv) {
       return 2;
     }
     core::LogReplica::Config lc;
-    lc.capacity = cfg->kv_capacity;
     lc.pipeline_depth = cfg->kv_pipeline_depth;
-    lc.quiescent = true;  // a bounded service log must not idle-burn slots
+    lc.snapshot_every = cfg->kv_snapshot_every;
+    lc.quiescent = true;  // an idle service must not burn slots on no-ops
     lc.consensus.poll_period = cfg->period / 2 > 0 ? cfg->period / 2 : msec(1);
-    kv_log = std::make_unique<core::LogReplica>(env, stack.ecfd, lc);
+    kv_log = &env.emplace<core::LogReplica>(stack.ecfd, lc);
 
     auto& batch_rb =
         env.emplace<broadcast::ReliableBroadcast>(protocol_ids::kKvBatchRb);
@@ -444,7 +447,7 @@ int main(int argc, char** argv) {
     kc.lease_establish = cfg->kv_lease_establish;
     kc.snapshot_every = cfg->kv_snapshot_every;
     kc.dedup_window = static_cast<std::size_t>(cfg->kv_dedup_window);
-    kvs = &env.emplace<kv::KvService>(stack.ecfd, kv_log.get(), &batch_rb, kc);
+    kvs = &env.emplace<kv::KvService>(stack.ecfd, kv_log, &batch_rb, kc);
     kvs->bind_metrics(&env.metrics());
     kvs->set_reply_sink([&env](kv::KvService::Token token,
                                const kv::Reply& r) {
