@@ -11,12 +11,13 @@
 //       probe of a suspect, a false suspicion of an isolated process can
 //       only be cleared indirectly. Ablation: recovery_every = 0.
 //
-// Metrics come from the fd/qos.hpp module: false-suspicion episodes and
-// query accuracy over a long run.
+// Metrics come from the obs::QosScoreboard over the recorded suspicion
+// transitions (bench/fd_qos.hpp): false-suspicion episodes and query
+// accuracy over a long run, exact to the event.
 
 #include "fd/heartbeat_p.hpp"
-#include "fd/qos.hpp"
 #include "fd/ring_fd.hpp"
+#include "fd_qos.hpp"
 #include "net/scenario.hpp"
 #include "table.hpp"
 
@@ -43,25 +44,20 @@ Metrics run(std::uint64_t seed, InstallFn install) {
   // producing false suspicions forever while an adaptive one stops.
   cfg.delta = msec(40);
   auto sys = make_system(cfg);
+  obs::Recorder rec(obs::Recorder::kStateDepth);
+  sys->attach_recorder(&rec);
 
   std::vector<const SuspectOracle*> oracles(5, nullptr);
   install(*sys, oracles);
-  FdProbe probe(*sys, msec(10));
-  for (ProcessId p = 0; p < 5; ++p) probe.attach(p, oracles[static_cast<std::size_t>(p)], nullptr);
   const TimeUs horizon = sec(20);
-  probe.start(horizon);
   sys->start();
   sys->run_until(horizon);
 
-  RunFacts facts;
-  facts.n = 5;
-  facts.correct = ProcessSet::full(5);
-  facts.end_time = horizon;
-  const QosReport q = compute_qos(facts, {}, probe.samples());
-
+  const obs::QosScoreboard sb = bench::score_run(rec, 5, horizon);
+  const ProcessSet correct = ProcessSet::full(5);
   Metrics m;
-  m.episodes = q.mistake_episodes;
-  m.accuracy = q.query_accuracy;
+  m.episodes = bench::false_suspicions(sb, correct);
+  m.accuracy = bench::mean_query_accuracy(sb, correct);
   m.settled = true;
   for (ProcessId p = 0; p < 5; ++p) {
     if (!oracles[static_cast<std::size_t>(p)]->suspected().empty()) m.settled = false;
@@ -75,7 +71,7 @@ int main(int argc, char** argv) {
   ecfd::bench::init(argc, argv, "a1_adaptivity_ablation");
   ecfd::bench::section("A1: adaptivity ablation (timeout widening, ring recovery)");
   std::cout << "n=5, failure-free, post-GST delta=40ms vs initial timeout "
-               "30ms, 20s run. QoS over sampled outputs.\n";
+               "30ms, 20s run. QoS over recorded suspicion events.\n";
 
   ecfd::bench::Table table({"detector", "variant", "mistakes", "accuracy%",
                             "settled"}, 16);

@@ -10,9 +10,13 @@
 // to the observed arrival process. This bench measures that difference:
 //
 //   detect_ms  — crash → every correct process suspects the victim
-//                (QosReport::Detection::all_suspect_delay, mean over seeds)
+//                (slowest observer's T_D, mean over seeds)
 //   mistakes   — false-suspicion episodes among correct processes
-//   accuracy%  — fraction of samples with no correct process suspected
+//   accuracy%  — query accuracy P_A, mean over pairs of correct processes
+//
+// All three come from the obs::QosScoreboard over the recorded
+// suspect/unsuspect/crash events (bench/fd_qos.hpp), so they are exact to
+// the event rather than quantized to a sampling period.
 //
 // Profiles mirror the fuzzer's WAN pack:
 //   lan   control: partial synchrony, 5 ms post-GST delta — both variants
@@ -31,8 +35,10 @@
 //         the adaptive deadline hugs the real cadence while the static
 //         one still waits the full provisioned constant.
 
+#include <algorithm>
+
 #include "fd/heartbeat_p.hpp"
-#include "fd/qos.hpp"
+#include "fd_qos.hpp"
 #include "net/geo.hpp"
 #include "net/scenario.hpp"
 #include "table.hpp"
@@ -83,6 +89,8 @@ struct Outcome {
 
 Outcome run(Profile prof, bool adaptive, std::uint64_t seed) {
   auto sys = make_system(scenario(prof, seed));
+  obs::Recorder rec(obs::Recorder::kStateDepth);
+  sys->attach_recorder(&rec);
 
   switch (prof) {
     case Profile::kGray: {
@@ -106,7 +114,6 @@ Outcome run(Profile prof, bool adaptive, std::uint64_t seed) {
       break;
   }
 
-  std::vector<const SuspectOracle*> oracles(kN, nullptr);
   for (ProcessId p = 0; p < kN; ++p) {
     fd::HeartbeatP::Config hc;
     // On the WAN both variants get the same conservatively provisioned
@@ -117,36 +124,29 @@ Outcome run(Profile prof, bool adaptive, std::uint64_t seed) {
       hc.adaptive = true;
       hc.predictor.fallback_timeout = hc.initial_timeout;
     }
-    oracles[static_cast<std::size_t>(p)] =
-        &sys->host(p).emplace<fd::HeartbeatP>(hc);
+    sys->host(p).emplace<fd::HeartbeatP>(hc);
   }
-
-  FdProbe probe(*sys, msec(5));
-  for (ProcessId p = 0; p < kN; ++p) {
-    probe.attach(p, oracles[static_cast<std::size_t>(p)], nullptr);
-  }
-  probe.start(kHorizon);
   sys->crash_at(kVictim, kCrashAt);
   sys->start();
   sys->run_until(kHorizon);
 
-  RunFacts facts;
-  facts.n = kN;
-  facts.correct = ProcessSet::full(kN);
-  facts.correct.remove(kVictim);
-  facts.end_time = kHorizon;
-  const QosReport q =
-      compute_qos(facts, {{kVictim, kCrashAt}}, probe.samples());
-
+  const obs::QosScoreboard sb = bench::score_run(rec, kN, kHorizon, kVictim, kCrashAt);
+  ProcessSet correct = ProcessSet::full(kN);
+  correct.remove(kVictim);
+  // Every correct process suspects the victim once the slowest one does;
+  // a survivor that never detects it is charged the rest of the run.
+  double all_suspect_us = 0;
+  for (ProcessId o : correct.members()) {
+    const obs::QosCell& c = sb.cell(o, kVictim);
+    const double td = c.detections > 0
+                          ? c.mean_detection_us()
+                          : static_cast<double>(kHorizon - kCrashAt);
+    all_suspect_us = std::max(all_suspect_us, td);
+  }
   Outcome o;
-  const DurUs fallback = kHorizon - kCrashAt;
-  o.detect_ms = static_cast<double>(
-                    q.detections.empty()
-                        ? fallback
-                        : q.detections[0].all_suspect_delay.value_or(fallback)) /
-                1000.0;
-  o.mistakes = q.mistake_episodes;
-  o.accuracy = 100.0 * q.query_accuracy;
+  o.detect_ms = all_suspect_us / 1000.0;
+  o.mistakes = bench::false_suspicions(sb, correct);
+  o.accuracy = 100.0 * bench::mean_query_accuracy(sb, correct);
   return o;
 }
 

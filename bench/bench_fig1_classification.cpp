@@ -9,19 +9,21 @@
 //
 // plus Omega (Property 1) and the paper's ◇C (Definition 1). We run every
 // detector implementation in this library through the same crash scenario
-// and print which properties its sampled output actually satisfied —
-// reproducing the table with measured data instead of definitions.
+// and print which properties its output satisfied at the end of the run, as
+// the online property monitor (check::SimMonitor sampling every 5 ms)
+// classified it — reproducing the table with measured data instead of
+// definitions.
 
 #include <memory>
+#include <string_view>
 
+#include "check/sim_monitor.hpp"
 #include "core/c_to_p.hpp"
 #include "core/ecfd_compose.hpp"
 #include "fd/efficient_p.hpp"
 #include "fd/heartbeat_p.hpp"
 #include "fd/leader_candidate.hpp"
 #include "fd/omega_from_s.hpp"
-#include "fd/probe.hpp"
-#include "fd/properties.hpp"
 #include "fd/ring_fd.hpp"
 #include "fd/scripted_fd.hpp"
 #include "fd/stable_leader.hpp"
@@ -41,7 +43,26 @@ struct OraclePair {
 using Installer = std::function<OraclePair(
     ProcessHost&, ProcessId, std::vector<std::shared_ptr<void>>&)>;
 
-FdReport classify(const Installer& install, std::uint64_t seed) {
+/// Fig. 1's axes plus Omega and the coupling clause; each is "holding at the
+/// end of the run" (an eventual property that stabilized at any time).
+struct Classes {
+  bool sc{false};     ///< strong completeness
+  bool wc{false};     ///< weak completeness
+  bool esa{false};    ///< eventual strong accuracy
+  bool ewa{false};    ///< eventual weak accuracy
+  bool omega{false};  ///< Property 1
+  bool coupling{false};
+
+  [[nodiscard]] bool eventually_perfect() const { return sc && esa; }
+  [[nodiscard]] bool eventually_strong() const { return sc && ewa; }
+  [[nodiscard]] bool eventually_weak() const { return wc && ewa; }
+  [[nodiscard]] bool eventually_quasi_perfect() const { return wc && esa; }
+  [[nodiscard]] bool eventually_consistent() const {
+    return eventually_strong() && omega && coupling;
+  }
+};
+
+Classes classify(const Installer& install, std::uint64_t seed) {
   ScenarioConfig cfg;
   cfg.n = 6;
   cfg.seed = seed;
@@ -54,23 +75,46 @@ FdReport classify(const Installer& install, std::uint64_t seed) {
 
   auto sys = make_system(cfg);
   std::vector<std::shared_ptr<void>> keepalive;
-  FdProbe probe(*sys, msec(5));
+  std::vector<OraclePair> oracles;
+  check::SimMonitor::Config mc;
+  mc.period = msec(5);
+  mc.check_suspect = false;
+  mc.check_leader = false;
   for (ProcessId p = 0; p < cfg.n; ++p) {
-    OraclePair o = install(sys->host(p), p, keepalive);
-    probe.attach(p, o.suspect, o.leader);
+    oracles.push_back(install(sys->host(p), p, keepalive));
+    mc.check_suspect = mc.check_suspect || oracles.back().suspect != nullptr;
+    mc.check_leader = mc.check_leader || oracles.back().leader != nullptr;
   }
+  ProcessSet correct = ProcessSet::full(cfg.n);
+  correct.remove(2);
+  correct.remove(5);
   const TimeUs horizon = sec(10);
-  probe.start(horizon);
+  check::SimMonitor monitor(mc);
+  monitor.install(*sys, correct, horizon);
+  for (ProcessId p = 0; p < cfg.n; ++p) {
+    const OraclePair& o = oracles[static_cast<std::size_t>(p)];
+    monitor.attach_fd(p, o.suspect, o.leader);
+  }
+  monitor.start();
   sys->start();
   sys->run_until(horizon);
 
-  RunFacts facts;
-  facts.n = cfg.n;
-  facts.correct = ProcessSet::full(cfg.n);
-  facts.correct.remove(2);
-  facts.correct.remove(5);
-  facts.end_time = horizon;
-  return check_fd_properties(facts, probe.samples());
+  const std::vector<check::Verdict> verdicts = monitor.fd()->verdicts();
+  auto holding = [&verdicts](std::string_view name) {
+    for (const check::Verdict& v : verdicts) {
+      if (v.property == name) return v.state == check::VerdictState::kHolding;
+    }
+    return false;  // not evaluated: the detector lacks that output
+  };
+  Classes c;
+  c.sc = holding("fd.strong_completeness");
+  c.wc = mc.check_suspect && monitor.fd()->weak_completeness().state ==
+                                 check::VerdictState::kHolding;
+  c.esa = holding("fd.eventual_strong_accuracy");
+  c.ewa = holding("fd.eventual_weak_accuracy");
+  c.omega = holding("fd.leader_agreement");
+  c.coupling = holding("fd.coupling");
+  return c;
 }
 
 const char* yn(bool b) { return b ? "yes" : "-"; }
@@ -81,7 +125,7 @@ int main(int argc, char** argv) {
   ecfd::bench::init(argc, argv, "fig1_classification");
   ecfd::bench::section("Fig. 1: measured class membership of every detector");
   std::cout << "scenario: n=6, crashes of p2@700ms and p5@1s, GST=250ms; "
-               "10s sampled run.\nSC/WC = strong/weak completeness, "
+               "10s monitored run.\nSC/WC = strong/weak completeness, "
                "ESA/EWA = eventual strong/weak accuracy.\n";
 
   ecfd::bench::Table table({"detector", "SC", "WC", "ESA", "EWA", "Omega",
@@ -89,28 +133,25 @@ int main(int argc, char** argv) {
                            9);
   table.print_header();
 
-  auto row = [&table](const char* name, const FdReport& r) {
+  auto row = [&table](const char* name, const Classes& r) {
     const char* cls = "-";
-    if (r.is_eventually_consistent() && r.is_eventually_perfect()) {
+    if (r.eventually_consistent() && r.eventually_perfect()) {
       cls = "dP+dC";
-    } else if (r.is_eventually_perfect()) {
+    } else if (r.eventually_perfect()) {
       cls = "dP";
-    } else if (r.is_eventually_consistent()) {
+    } else if (r.eventually_consistent()) {
       cls = "dC";
-    } else if (r.is_eventually_strong()) {
+    } else if (r.eventually_strong()) {
       cls = "dS";
-    } else if (r.is_eventually_quasi_perfect()) {
+    } else if (r.eventually_quasi_perfect()) {
       cls = "dQ";
-    } else if (r.is_eventually_weak()) {
+    } else if (r.eventually_weak()) {
       cls = "dW";
-    } else if (r.is_omega()) {
+    } else if (r.omega) {
       cls = "Omega";
     }
-    table.print_row(name, yn(r.strong_completeness.holds),
-                    yn(r.weak_completeness.holds),
-                    yn(r.eventual_strong_accuracy.holds),
-                    yn(r.eventual_weak_accuracy.holds), yn(r.omega.holds),
-                    yn(r.is_eventually_consistent()), cls);
+    table.print_row(name, yn(r.sc), yn(r.wc), yn(r.esa), yn(r.ewa),
+                    yn(r.omega), yn(r.eventually_consistent()), cls);
   };
 
   row("heartbeatP", classify(

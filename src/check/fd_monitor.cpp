@@ -1,5 +1,6 @@
 #include "check/fd_monitor.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <string>
 
@@ -60,28 +61,34 @@ void FdPropertyMonitor::observe(const Snapshot& snap) {
   if (cfg_.check_suspect) {
     // Detection witnesses: per victim, the first snapshot where the crash
     // was visible and, per observer, the first snapshot sampling the
-    // observer suspecting it.
+    // observer suspecting it — plus the observer's current suspicion
+    // suffix, for weak completeness.
     for (ProcessId c : snap.crashed.members()) {
-      DetectionWitness* w = nullptr;
-      for (DetectionWitness& d : detections_) {
-        if (d.victim == c) {
-          w = &d;
-          break;
-        }
-      }
-      if (w == nullptr) {
+      std::size_t k = 0;
+      while (k < detections_.size() && detections_[k].victim != c) ++k;
+      if (k == detections_.size()) {
         DetectionWitness d;
         d.victim = c;
         d.crashed_seen = now;
         d.first_suspect.assign(static_cast<std::size_t>(cfg_.n), kTimeNever);
         detections_.push_back(std::move(d));
-        w = &detections_.back();
+        suspect_since_.emplace_back(static_cast<std::size_t>(cfg_.n),
+                                    kTimeNever);
       }
+      DetectionWitness& w = detections_[k];
       for (ProcessId q : correct.members()) {
-        auto& first = w->first_suspect[static_cast<std::size_t>(q)];
-        if (first != kTimeNever) continue;
-        const auto& sq = snap.suspected[static_cast<std::size_t>(q)];
-        if (sq.has_value() && sq->contains(c)) first = now;
+        const auto i = static_cast<std::size_t>(q);
+        const auto& sq = snap.suspected[i];
+        const bool suspects = sq.has_value() && sq->contains(c);
+        if (suspects && w.first_suspect[i] == kTimeNever) {
+          w.first_suspect[i] = now;
+        }
+        TimeUs& since = suspect_since_[k][i];
+        if (!suspects) {
+          since = kTimeNever;
+        } else if (since == kTimeNever) {
+          since = now;
+        }
       }
     }
 
@@ -238,6 +245,33 @@ void FdPropertyMonitor::observe(const Snapshot& snap) {
     }
     coupling_.update(now, ok, why);
   }
+}
+
+Verdict FdPropertyMonitor::weak_completeness() const {
+  Verdict v;
+  v.property = "fd.weak_completeness";
+  v.eventual = true;
+  v.required = true;
+  for (std::size_t k = 0; k < detections_.size(); ++k) {
+    TimeUs best = kTimeNever;
+    ProcessId witness = kNoProcess;
+    for (ProcessId q : cfg_.correct.members()) {
+      const TimeUs since = suspect_since_[k][static_cast<std::size_t>(q)];
+      if (since < best) {
+        best = since;
+        witness = q;
+      }
+    }
+    if (witness == kNoProcess) {
+      v.state = VerdictState::kPending;
+      v.violated_at = last_time_;
+      v.witness = "no correct process suspects crashed " +
+                  pname(detections_[k].victim);
+      return v;
+    }
+    v.holds_since = std::max(v.holds_since, best);
+  }
+  return v;
 }
 
 std::vector<Verdict> FdPropertyMonitor::verdicts() const {

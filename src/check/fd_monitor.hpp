@@ -62,6 +62,19 @@ class FdPropertyMonitor {
   ///   fd.leader_stability, fd.coupling
   [[nodiscard]] std::vector<Verdict> verdicts() const;
 
+  /// Weak completeness (Fig. 1's ◇Q/◇W rows): every crashed process is
+  /// eventually suspected, permanently, by SOME correct process — each
+  /// victim may have its own witness. A query of its own rather than part
+  /// of verdicts(), because the verdict list is hashed into every fuzz
+  /// digest. Evaluated only with check_suspect; vacuously holding from 0
+  /// while nothing crashed.
+  [[nodiscard]] Verdict weak_completeness() const;
+
+  /// The correct process every correct process trusted, unchanged, at the
+  /// last snapshot (the fd.leader_agreement witness); kNoProcess while
+  /// leader agreement does not hold.
+  [[nodiscard]] ProcessId common_leader() const { return prev_common_leader_; }
+
   [[nodiscard]] TimeUs last_observed() const { return last_time_; }
   [[nodiscard]] std::int64_t snapshots() const { return snapshots_; }
   [[nodiscard]] const Config& config() const { return cfg_; }
@@ -122,6 +135,9 @@ class FdPropertyMonitor {
 
   // Detection witnesses (see DetectionWitness).
   std::vector<DetectionWitness> detections_;
+  // Weak completeness, parallel to detections_: per observer, the start of
+  // its current unbroken suspicion of that victim (kTimeNever = not now).
+  std::vector<std::vector<TimeUs>> suspect_since_;
 };
 
 }  // namespace ecfd::check

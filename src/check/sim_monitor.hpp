@@ -17,9 +17,9 @@
 /// A SimMonitor samples every attached failure-detector oracle on a fixed
 /// cadence through the system scheduler (read-only — it sends no messages
 /// and perturbs nothing but the event count) and registers decision
-/// callbacks on the consensus protocols. It is measurement machinery in the
-/// same spirit as fd/probe.hpp, but evaluates properties online instead of
-/// retaining the full timeline.
+/// callbacks on the consensus protocols. It evaluates properties online
+/// instead of retaining the sampled timeline; the FD suites, the fuzzer
+/// and the Fig. 1 classification bench all classify runs through it.
 ///
 /// The monitor outlives the System it observed: after the run, verdicts()
 /// keeps answering from the folded state.

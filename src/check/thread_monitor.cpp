@@ -129,20 +129,22 @@ std::string ThreadedFdMonitor::violation_report() const {
       implicated.insert(p);
     }
   }
+  const obs::Recorder* rec = sys_.recorder();
+  std::vector<obs::Event> events;
   std::size_t traced = 0;
   for (ProcessId p : implicated) {
+    if (rec == nullptr || p >= rec->hosts()) break;
     if (traced == kMaxTracedHosts) {
       os << "  (further implicated hosts omitted)\n";
       break;
     }
-    const auto events = sys_.host(p).recent_trace();
+    rec->state_ring(p).snapshot(&events);
     if (events.empty()) continue;
     ++traced;
     os << "  recent trace of p" << p << ":\n";
-    for (const auto& e : events) {
-      os << "    t=" << e.time << "us " << e.tag;
-      if (!e.detail.empty()) os << " " << e.detail;
-      os << '\n';
+    for (const obs::Event& e : events) {
+      os << "    t=" << e.time << "us " << obs::event_type_name(e.type)
+         << " a=" << e.a << " b=" << e.b << '\n';
     }
   }
   return os.str();

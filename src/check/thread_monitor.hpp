@@ -44,7 +44,7 @@ class ThreadedFdMonitor {
   /// plus, when the runtime carries an obs::Recorder
   /// (ThreadSystem::Config::trace_depth or attach_recorder), the recent
   /// state-ring events of each host named in a witness ("p<id>") — typed
-  /// suspect/unsuspect/leader-change transitions and trace() notes — so a
+  /// suspect/unsuspect/leader-change transitions — so a
   /// violation arrives with the offending host's FD history attached.
   /// Empty when all properties hold.
   [[nodiscard]] std::string violation_report() const;

@@ -46,7 +46,6 @@ void CToP::leader_tick() {
     const TimeUs now = env_.now();
     for (auto& t : last_alive_) t = now;
     local_list_.clear();
-    env_.trace("ctp.leader", "acquired");
   }
   acting_leader_ = leader_now;
 
@@ -59,7 +58,6 @@ void CToP::leader_tick() {
       if (!local_list_.contains(q) && now - last_alive_[i] > timeout_[i]) {
         local_list_.add(q);
         env_.record(EventType::kSuspect, q);
-        env_.trace("ctp.suspect", "p" + std::to_string(q));
       }
     }
     // Task 1: publish the list; the leader's own output is its local list.
@@ -80,7 +78,6 @@ void CToP::on_message(const Message& m) {
         local_list_.remove(m.src);
         timeout_[i] += cfg_.timeout_increment;
         env_.record(EventType::kUnsuspect, m.src);
-        env_.trace("ctp.unsuspect", "p" + std::to_string(m.src));
       }
       break;
     }

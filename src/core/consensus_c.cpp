@@ -176,7 +176,6 @@ void ConsensusC::send_own_estimate() {
 void ConsensusC::become_coordinator() {
   coordinator_ = env_.self();
   is_coordinator_ = true;
-  env_.trace("cons_c.coordinator", "r=" + std::to_string(round_));
   if (!cfg_.merged_phase01) {
     env_.broadcast(Message::make(protocol_id(), kCoordinator, "cons_c.coord",
                                  RoundOnly{round_}));

@@ -41,9 +41,6 @@ class LogReplica::SlotEnv final : public Env {
   [[nodiscard]] ProcessId self() const override { return host().self(); }
   [[nodiscard]] int n() const override { return host().n(); }
   Rng& rng() override { return host().rng(); }
-  void trace(const std::string& tag, const std::string& detail) override {
-    host().trace(tag, detail);
-  }
 
  private:
   [[nodiscard]] Env& host() const { return log_.env_; }

@@ -47,7 +47,6 @@ void HeartbeatP::check() {
     if (!suspected_.contains(q) && late) {
       suspected_.add(q);
       env_.record(EventType::kSuspect, q);
-      env_.trace("hb_p.suspect", "p" + std::to_string(q));
     }
   }
   env_.set_timer(cfg_.period / 2, [this]() { check(); });
@@ -68,7 +67,6 @@ void HeartbeatP::on_message(const Message& m) {
       timeout_[i] += cfg_.timeout_increment;
     }
     env_.record(EventType::kUnsuspect, m.src);
-    env_.trace("hb_p.unsuspect", "p" + std::to_string(m.src));
   }
 }
 

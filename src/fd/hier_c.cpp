@@ -80,7 +80,6 @@ void HierC::note_top_contact(ProcessId src) {
   if (cell_susp_.contains(d)) {
     cell_susp_.remove(d);
     cell_timeout_[i] += cfg_.timeout_increment;
-    env_.trace("hier.cell_rollback", "c" + std::to_string(d));
   }
 }
 
@@ -109,7 +108,6 @@ void HierC::tick() {
       if (!cell_report_.contains(q) && now - last_alive_[i] > alive_timeout_[i]) {
         cell_report_.add(q);
         env_.record(EventType::kSuspect, q);
-        env_.trace("hier.suspect", "p" + std::to_string(q));
       }
     }
 
@@ -129,7 +127,6 @@ void HierC::tick() {
         if (now - last_cell_heard_[i] > cell_timeout_[i]) {
           cell_susp_.add(d);
           reports_.erase(d);
-          env_.trace("hier.cell_suspect", "c" + std::to_string(d));
         }
       }
       // Compose the global digest: own report plus, per remote cell, its
@@ -161,7 +158,6 @@ void HierC::tick() {
         const auto i = static_cast<std::size_t>(c);
         if (now - last_cell_heard_[i] > cell_timeout_[i]) {
           cell_susp_.add(c);
-          env_.trace("hier.cell_suspect", "c" + std::to_string(c));
         }
       }
       // Report the own-cell view to the (possibly new) top candidate.
@@ -194,7 +190,6 @@ void HierC::tick() {
     if (now - last_beat_[i] > beat_timeout_[i]) {
       cell_cand_susp_.add(cand);
       env_.record(EventType::kSuspect, cand);
-      env_.trace("hier.cand_suspect", "p" + std::to_string(cand));
     }
     const ProcessId target = cell_candidate();
     if (target != env_.self()) {
@@ -216,7 +211,6 @@ void HierC::on_message(const Message& m) {
         cell_cand_susp_.remove(m.src);
         beat_timeout_[i] += cfg_.timeout_increment;
         env_.record(EventType::kUnsuspect, m.src);
-        env_.trace("hier.rollback", "p" + std::to_string(m.src));
       }
       if (m.src == cell_candidate()) {
         const auto& d = m.as<HierDigest>();
@@ -237,7 +231,6 @@ void HierC::on_message(const Message& m) {
         cell_report_.remove(m.src);
         alive_timeout_[i] += cfg_.timeout_increment;
         env_.record(EventType::kUnsuspect, m.src);
-        env_.trace("hier.unsuspect", "p" + std::to_string(m.src));
       }
       break;
     }

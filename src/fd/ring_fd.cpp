@@ -48,7 +48,6 @@ void RingFd::send_query(ProcessId to) {
         !suspected_.contains(to)) {
       suspected_.add(to);
       env_.record(EventType::kSuspect, to);
-      env_.trace("ring.suspect", "p" + std::to_string(to));
     }
   });
 }
@@ -84,7 +83,6 @@ void RingFd::merge(const Body& body) {
       if (!suspected_.contains(r)) {
         suspected_.add(r);
         env_.record(EventType::kSuspect, r);
-        env_.trace("ring.adopt_suspect", "p" + std::to_string(r));
       }
     }
     if (body.seq[i] > known_seq_[i]) {
@@ -93,7 +91,6 @@ void RingFd::merge(const Body& body) {
         suspected_.remove(r);
         timeout_[i] += cfg_.timeout_increment;
         env_.record(EventType::kUnsuspect, r);
-        env_.trace("ring.unsuspect", "p" + std::to_string(r));
       }
     }
   }
@@ -109,7 +106,6 @@ void RingFd::on_message(const Message& m) {
     suspected_.remove(m.src);
     timeout_[static_cast<std::size_t>(m.src)] += cfg_.timeout_increment;
     env_.record(EventType::kUnsuspect, m.src);
-    env_.trace("ring.unsuspect", "p" + std::to_string(m.src));
   }
   merge(body);
   if (m.type == kQuery) {

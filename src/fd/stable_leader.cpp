@@ -48,7 +48,6 @@ void StableLeader::tick() {
       ++counters_[i];
       timeout_[i] += cfg_.timeout_increment;
       last_heard_[i] = env_.now();  // restart the clock for the next check
-      env_.trace("sl.accuse", "p" + std::to_string(leader));
       env_.broadcast(Message::make(protocol_id(), kAccuse, "sl.accuse",
                                    counters_));
     }

@@ -83,7 +83,6 @@ bool SwimFd::apply_update(const SwimUpdate& u) {
     if (u.state != kAlive) {
       if (u.incarnation >= self_inc_) self_inc_ = u.incarnation + 1;
       enqueue_update(SwimUpdate{p, self_inc_, kAlive});
-      env_.trace("swim.refute", "inc" + std::to_string(self_inc_));
     }
     return false;
   }
@@ -106,7 +105,6 @@ bool SwimFd::apply_update(const SwimUpdate& u) {
         // post-GST mistakes stay finite (eventual strong accuracy).
         ack_timeout_ += cfg_.timeout_increment;
         env_.record(EventType::kUnsuspect, p);
-        env_.trace("swim.unsuspect", "p" + std::to_string(p));
       }
       applied = true;
       break;
@@ -118,7 +116,6 @@ bool SwimFd::apply_update(const SwimUpdate& u) {
         if (cur_state == kAlive) {
           suspected_.add(p);
           env_.record(EventType::kSuspect, p);
-          env_.trace("swim.suspect", "p" + std::to_string(p));
         }
         applied = true;
       }
@@ -131,7 +128,6 @@ bool SwimFd::apply_update(const SwimUpdate& u) {
           suspected_.add(p);
           env_.record(EventType::kSuspect, p);
         }
-        env_.trace("swim.dead", "p" + std::to_string(p));
         applied = true;
       }
       break;

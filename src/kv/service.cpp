@@ -368,7 +368,8 @@ void KvService::on_snapshot_chunk(const SnapshotChunk& chunk) {
 
   std::string err;
   if (!store_.deserialize(image, &err)) {
-    env_.trace("kv.snapshot_reject", err);
+    if (m_snaps_rejected_)
+      m_snaps_rejected_->fetch_add(1, std::memory_order_relaxed);
     return;
   }
   // Drop stalled applies the snapshot covers, fast-forward the log, keep
@@ -379,7 +380,6 @@ void KvService::on_snapshot_chunk(const SnapshotChunk& chunk) {
   last_snapshot_upto_ = std::max(last_snapshot_upto_, upto);
   if (m_snaps_installed_)
     m_snaps_installed_->fetch_add(1, std::memory_order_relaxed);
-  env_.trace("kv.snapshot_install", "upto=" + std::to_string(upto));
   drain_applies();
 }
 
@@ -396,7 +396,6 @@ void KvService::lease_tick() {
       env_.record(EventType::kLeaseGrant, env_.self(), lease_term_);
       if (m_lease_grants_)
         m_lease_grants_->fetch_add(1, std::memory_order_relaxed);
-      env_.trace("kv.lease_grant", "term=" + std::to_string(lease_term_));
     }
   } else {
     trusted_self_since_ = kTimeNever;
@@ -405,7 +404,6 @@ void KvService::lease_tick() {
       env_.record(EventType::kLeaseRevoke, env_.self(), lease_term_);
       if (m_lease_revokes_)
         m_lease_revokes_->fetch_add(1, std::memory_order_relaxed);
-      env_.trace("kv.lease_revoke", "term=" + std::to_string(lease_term_));
     }
   }
   refresh_gauges();
@@ -444,7 +442,7 @@ void KvService::bind_metrics(obs::MetricsRegistry* m) {
   if (m == nullptr) {
     m_requests_ = m_redirects_ = m_lease_reads_ = m_batches_ = m_batch_ops_ =
         m_overload_ = m_lease_grants_ = m_lease_revokes_ = m_snaps_taken_ =
-            m_snaps_installed_ = nullptr;
+            m_snaps_installed_ = m_snaps_rejected_ = nullptr;
     gauges_ = Gauges{};
     return;
   }
@@ -458,6 +456,7 @@ void KvService::bind_metrics(obs::MetricsRegistry* m) {
   m_lease_revokes_ = m->counter("kv.lease.revokes");
   m_snaps_taken_ = m->counter("kv.snapshots.taken");
   m_snaps_installed_ = m->counter("kv.snapshots.installed");
+  m_snaps_rejected_ = m->counter("kv.snapshots.rejected");
   gauges_.keys = m->gauge("kv.store.keys");
   gauges_.sessions = m->gauge("kv.sessions");
   gauges_.applied_slot = m->gauge("kv.applied_slot");

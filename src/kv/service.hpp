@@ -198,6 +198,7 @@ class KvService final : public Protocol {
   obs::MetricsRegistry::Cell* m_lease_revokes_{nullptr};
   obs::MetricsRegistry::Cell* m_snaps_taken_{nullptr};
   obs::MetricsRegistry::Cell* m_snaps_installed_{nullptr};
+  obs::MetricsRegistry::Cell* m_snaps_rejected_{nullptr};
   /// Gauge cells, bound once in bind_metrics() and stored on every drain.
   struct Gauges {
     obs::MetricsRegistry::Cell* keys{nullptr};

@@ -56,9 +56,6 @@ class Env {
   /// Per-process deterministic random stream.
   virtual Rng& rng() = 0;
 
-  /// Emits a trace record (no-op unless tracing is enabled).
-  virtual void trace(const std::string& tag, const std::string& detail) = 0;
-
   /// Sends \p m to every process except self.
   void broadcast(Message m) {
     for (ProcessId q = 0; q < n(); ++q) {

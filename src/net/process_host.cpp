@@ -7,9 +7,8 @@
 namespace ecfd {
 
 ProcessHost::ProcessHost(ProcessId id, int n, sim::Scheduler& sched,
-                         Network& network, sim::Trace& trace, Rng rng)
-    : id_(id), n_(n), sched_(sched), network_(network), trace_(trace),
-      rng_(rng) {}
+                         Network& network, Rng rng)
+    : id_(id), n_(n), sched_(sched), network_(network), rng_(rng) {}
 
 void ProcessHost::add_protocol(std::unique_ptr<Protocol> proto) {
   assert(proto != nullptr);
@@ -29,7 +28,6 @@ void ProcessHost::crash() {
   crash_time_ = sched_.now();
   for (TimerId t : live_timers_) sched_.cancel(t);
   live_timers_.clear();
-  if (trace_.enabled()) trace_.emit(sched_.now(), id_, "crash", "");
   record(EventType::kCrash);
 }
 
@@ -122,15 +120,6 @@ void ProcessHost::cancel_timer(TimerId id) {
   sched_.cancel(id);
   live_timers_.erase(id);
   record(EventType::kTimerCancel, -1, static_cast<std::int64_t>(id));
-}
-
-void ProcessHost::trace(const std::string& tag, const std::string& detail) {
-  if (trace_.enabled()) trace_.emit(sched_.now(), id_, tag, detail);
-  if (recording()) {
-    // Cold path by contract: trace() callers already pay string building.
-    record(EventType::kNote, -1, recorder()->intern(detail),
-           recorder()->intern(tag));
-  }
 }
 
 }  // namespace ecfd

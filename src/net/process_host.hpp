@@ -19,7 +19,7 @@ namespace ecfd {
 class ProcessHost final : public Env {
  public:
   ProcessHost(ProcessId id, int n, sim::Scheduler& sched, Network& network,
-              sim::Trace& trace, Rng rng);
+              Rng rng);
 
   /// Registers a protocol instance. The host owns it. Protocol ids must be
   /// unique within a host.
@@ -88,14 +88,12 @@ class ProcessHost final : public Env {
   [[nodiscard]] ProcessId self() const override { return id_; }
   [[nodiscard]] int n() const override { return n_; }
   Rng& rng() override { return rng_; }
-  void trace(const std::string& tag, const std::string& detail) override;
 
  private:
   ProcessId id_;
   int n_;
   sim::Scheduler& sched_;
   Network& network_;
-  sim::Trace& trace_;
   Rng rng_;
   bool crashed_{false};
   TimeUs crash_time_{kTimeNever};

@@ -33,7 +33,8 @@ enum class EventType : std::uint8_t {
   kCrash = 10,       ///< this host crash-stopped
   kDrop = 11,        ///< a = destination, message dropped before the wire
   kVerdict = 12,     ///< a = VerdictState, label = property name
-  kNote = 13,        ///< label = tag, b = interned detail (Env::trace text)
+  kNote = 13,        ///< reserved: free-text note; label = tag, b = interned
+                     ///< detail. No longer recorded; older traces carry it.
   kLeaseGrant = 14,  ///< kv leader lease established; b = lease term
   kLeaseRevoke = 15, ///< kv leader lease lost;        b = lease term
   kWireSend = 16,    ///< frame left for the wire; a = dst, b = causal seq

@@ -11,17 +11,6 @@ std::uint64_t fingerprint_counters(const sim::Counters& counters) {
   return h.value();
 }
 
-std::uint64_t fingerprint_trace(const sim::Trace& trace) {
-  Fnv1a h;
-  for (const auto& e : trace.events()) {
-    h.i64(e.time);
-    h.i64(e.process);
-    h.str(e.tag);
-    h.str(e.detail);
-  }
-  return h.value();
-}
-
 std::uint64_t fingerprint_result(const consensus::HarnessResult& r) {
   Fnv1a h;
   for (const auto& o : r.outcomes) {

@@ -5,7 +5,6 @@
 
 #include "consensus/harness.hpp"
 #include "sim/stats.hpp"
-#include "sim/trace.hpp"
 
 /// \file fingerprint.hpp
 /// Order-sensitive digests of simulation runs.
@@ -43,9 +42,6 @@ class Fnv1a {
 
 /// Digest of every counter, key and value, in sorted-key order.
 std::uint64_t fingerprint_counters(const sim::Counters& counters);
-
-/// Digest of every trace event in emission order.
-std::uint64_t fingerprint_trace(const sim::Trace& trace);
 
 /// Digest of a consensus harness result (outcomes, rounds, times, message
 /// totals, counters, events fired).

@@ -8,7 +8,7 @@ namespace ecfd::runtime {
 namespace {
 
 /// The Worker whose loop is executing on this thread (nullptr on every
-/// non-worker thread: tests, monitors, legacy host threads). Lets hosts
+/// non-worker thread: tests, monitors). Lets hosts
 /// tell owner-thread calls from foreign ones and gives route() a lock-free
 /// RNG stream.
 thread_local Worker* t_worker = nullptr;
@@ -21,10 +21,6 @@ ThreadHost::ThreadHost(ThreadSystem& sys, ProcessId id, int n,
                        std::uint64_t seed)
     : sys_(sys), id_(id), n_(n), rng_(seed) {}
 
-ThreadHost::~ThreadHost() {
-  if (legacy_) stop_thread();
-}
-
 void ThreadHost::add_protocol(std::unique_ptr<Protocol> proto) {
   assert(proto != nullptr);
   assert(!sys_.started() && "register protocols before start()");
@@ -35,47 +31,12 @@ void ThreadHost::add_protocol(std::unique_ptr<Protocol> proto) {
 }
 
 void ThreadHost::post_at(TimeUs when, std::function<void()> fn) {
-  if (legacy_) {
-    legacy_post_at(when, std::move(fn));
-    return;
-  }
   enqueue(when, sim::InplaceAction([f = std::move(fn)]() mutable { f(); }));
 }
 
 void ThreadHost::crash() {
   record(EventType::kCrash);
   crashed_.store(true, std::memory_order_release);
-}
-
-std::size_t ThreadHost::bookkeeping_records() const {
-  if (legacy_) {
-    std::lock_guard<std::mutex> lock(legacy_->mu);
-    return legacy_->cancelled.size();
-  }
-  return foreign_records_.load(std::memory_order_acquire);
-}
-
-std::vector<TraceRecord> ThreadHost::recent_trace() const {
-  std::vector<TraceRecord> out;
-  obs::Recorder* rec = sys_.recorder_;
-  if (rec == nullptr || id_ >= rec->hosts()) return out;
-  std::vector<obs::Event> events;
-  rec->state_ring(id_).snapshot(&events);
-  out.reserve(events.size());
-  for (const obs::Event& e : events) {
-    TraceRecord r;
-    r.time = e.time;
-    if (e.type == EventType::kNote) {
-      // Env::trace text round-trips through the interned table.
-      r.tag = rec->string_at(e.label);
-      r.detail = rec->string_at(static_cast<std::int32_t>(e.b));
-    } else {
-      r.tag = std::string("obs.") + obs::event_type_name(e.type);
-      r.detail = "a=" + std::to_string(e.a) + " b=" + std::to_string(e.b);
-    }
-    out.push_back(std::move(r));
-  }
-  return out;
 }
 
 TimeUs ThreadHost::now() const { return sys_.now() + clock_error(); }
@@ -147,7 +108,6 @@ TimerId ThreadHost::set_timer_impl(DurUs delay, std::function<void()> fn) {
     // slow one late): the host *believes* it waited `delay`.
     delay = delay * 1'000'000 / (1'000'000 + drift);
   }
-  if (legacy_) return legacy_set_timer(delay, std::move(fn));
   if (crashed()) return kInvalidTimer;
   const TimeUs when = sys_.now() + delay;
   if (!sys_.started() || on_owner_thread()) {
@@ -166,23 +126,12 @@ void ThreadHost::cancel_timer(TimerId id) {
   if (id != kInvalidTimer) {
     record(EventType::kTimerCancel, -1, static_cast<std::int64_t>(id));
   }
-  if (legacy_) {
-    legacy_cancel_timer(id);
-    return;
-  }
   if (id == kInvalidTimer) return;
   if (!sys_.started() || on_owner_thread()) {
     cancel_on_owner(id);
     return;
   }
   enqueue(now(), sim::InplaceAction([this, id]() { cancel_on_owner(id); }));
-}
-
-void ThreadHost::trace(const std::string& tag, const std::string& detail) {
-  if (!recording()) return;
-  // Cold path by contract: callers already pay string construction.
-  obs::Recorder* rec = recorder();
-  record(EventType::kNote, -1, rec->intern(detail), rec->intern(tag));
 }
 
 bool ThreadHost::on_owner_thread() const {
@@ -244,98 +193,6 @@ void ThreadHost::cancel_on_owner(TimerId id) {
   if (worker_->wheel_.cancel(id)) {
     live_timers_.fetch_sub(1, std::memory_order_acq_rel);
     worker_->publish_wheel_size();
-  }
-}
-
-// ------------------------------------------------- host, legacy executor
-
-void ThreadHost::legacy_post_at(TimeUs when, std::function<void()> fn) {
-  {
-    std::lock_guard<std::mutex> lock(legacy_->mu);
-    if (legacy_->stopping) return;
-    legacy_->queue.push(
-        Work{when, legacy_->next_seq++, kInvalidTimer, std::move(fn)});
-  }
-  legacy_->cv.notify_one();
-}
-
-TimerId ThreadHost::legacy_set_timer(DurUs delay, std::function<void()> fn) {
-  TimerId id;
-  {
-    std::lock_guard<std::mutex> lock(legacy_->mu);
-    if (legacy_->stopping || crashed()) return kInvalidTimer;
-    id = legacy_->next_timer++;
-    legacy_->pending.insert(id);
-    legacy_->queue.push(
-        Work{now() + delay, legacy_->next_seq++, id, std::move(fn)});
-  }
-  live_timers_.fetch_add(1, std::memory_order_acq_rel);
-  legacy_->cv.notify_one();
-  return id;
-}
-
-void ThreadHost::legacy_cancel_timer(TimerId id) {
-  if (id == kInvalidTimer) return;
-  bool was_pending = false;
-  {
-    std::lock_guard<std::mutex> lock(legacy_->mu);
-    // Tombstone only timers that are still pending: cancelling an
-    // already-fired id used to insert a tombstone nothing would ever
-    // consume, growing `cancelled` without bound in long runs.
-    auto it = legacy_->pending.find(id);
-    if (it != legacy_->pending.end()) {
-      legacy_->pending.erase(it);
-      legacy_->cancelled.insert(id);
-      was_pending = true;
-    }
-  }
-  if (was_pending) live_timers_.fetch_sub(1, std::memory_order_acq_rel);
-}
-
-void ThreadHost::start_thread() {
-  legacy_->thread = std::thread([this]() { legacy_run_loop(); });
-}
-
-void ThreadHost::stop_thread() {
-  {
-    std::lock_guard<std::mutex> lock(legacy_->mu);
-    legacy_->stopping = true;
-  }
-  legacy_->cv.notify_one();
-  if (legacy_->thread.joinable()) legacy_->thread.join();
-}
-
-void ThreadHost::legacy_run_loop() {
-  std::unique_lock<std::mutex> lock(legacy_->mu);
-  for (;;) {
-    if (legacy_->stopping) return;
-    if (legacy_->queue.empty()) {
-      legacy_->cv.wait(lock);
-      continue;
-    }
-    const TimeUs due = legacy_->queue.top().when;
-    const TimeUs current = sys_.now();
-    if (due > current) {
-      legacy_->cv.wait_for(lock, std::chrono::microseconds(due - current));
-      continue;
-    }
-    // priority_queue::top() is const; moving out is safe because pop()
-    // removes exactly that element — this avoids copying the closure.
-    Work w = std::move(const_cast<Work&>(legacy_->queue.top()));
-    legacy_->queue.pop();
-    if (w.timer != kInvalidTimer) {
-      auto it = legacy_->cancelled.find(w.timer);
-      if (it != legacy_->cancelled.end()) {
-        legacy_->cancelled.erase(it);
-        continue;
-      }
-      legacy_->pending.erase(w.timer);
-      live_timers_.fetch_sub(1, std::memory_order_acq_rel);
-    }
-    if (crashed()) continue;  // a crashed process executes nothing
-    lock.unlock();
-    w.fn();
-    lock.lock();
   }
 }
 
@@ -467,12 +324,6 @@ ThreadSystem::ThreadSystem(Config cfg)
     recorder_ = recorder_owned_.get();
     bind_recorder_rings();
   }
-  if (cfg_.legacy_thread_per_process) {
-    for (auto& h : hosts_) {
-      h->legacy_ = std::make_unique<ThreadHost::LegacyState>();
-    }
-    return;
-  }
   int m = cfg_.workers > 0
               ? cfg_.workers
               : static_cast<int>(std::thread::hardware_concurrency());
@@ -493,10 +344,6 @@ ThreadSystem::ThreadSystem(Config cfg)
 
 ThreadSystem::~ThreadSystem() {
   stopping_.store(true, std::memory_order_seq_cst);
-  if (cfg_.legacy_thread_per_process) {
-    for (auto& h : hosts_) h->stop_thread();
-    return;
-  }
   for (auto& w : workers_) w->request_stop();
   for (auto& w : workers_) w->join();
 }
@@ -537,17 +384,6 @@ void ThreadSystem::bind_recorder_rings() {
 
 void ThreadSystem::start() {
   assert(!started());
-  if (cfg_.legacy_thread_per_process) {
-    started_.store(true, std::memory_order_release);
-    for (auto& h : hosts_) h->start_thread();
-    for (auto& h : hosts_) {
-      ThreadHost* host = h.get();
-      host->post([host]() {
-        for (auto& proto : host->owned_) proto->start();
-      });
-    }
-    return;
-  }
   // Queue each host's protocol starts before the workers exist, so the
   // very first thing every worker does is run start() for its shard.
   const TimeUs t0 = now();
@@ -573,9 +409,7 @@ void ThreadSystem::route(Message m) {
     lost = w->rng_.chance(cfg_.loss_p);
     if (!lost) delay = w->rng_.range(cfg_.min_delay, cfg_.max_delay);
   } else {
-    // Foreign threads (tests, monitors) and every legacy host thread share
-    // one locked stream — in legacy mode this lock on the whole fabric is
-    // the old design, preserved for comparison.
+    // Foreign threads (tests, monitors) share one locked stream.
     std::lock_guard<std::mutex> lock(ext_rng_mu_);
     lost = ext_rng_.chance(cfg_.loss_p);
     if (!lost) delay = ext_rng_.range(cfg_.min_delay, cfg_.max_delay);
@@ -591,12 +425,6 @@ void ThreadSystem::route(Message m) {
   if (dst.crashed()) return;
   const TimeUs when = now() + delay;
   ThreadHost* hp = &dst;
-  if (cfg_.legacy_thread_per_process) {
-    dst.legacy_post_at(when, [hp, m = std::move(m)]() {
-      if (!hp->crashed()) hp->dispatch(m);
-    });
-    return;
-  }
   dst.enqueue(when, sim::InplaceAction(
                         [hp, m = std::move(m)]() { hp->dispatch(m); }));
 }

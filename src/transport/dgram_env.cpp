@@ -222,7 +222,6 @@ void DgramEnv::send(ProcessId dst, Message m) {
   std::string error;
   if (!wire::encode_message(m, &frame, &error, causal_seq)) {
     metrics_.add("net.encode_error");
-    trace("net.encode_error", key + ": " + error);
     return;
   }
 
@@ -271,7 +270,6 @@ void DgramEnv::send_external(ExternalToken token, Message m) {
   std::string error;
   if (!wire::encode_message(m, &frame, &error)) {
     metrics_.add("net.encode_error");
-    trace("net.encode_error", error);
     return;
   }
   metrics_.add("net.sent_external");
@@ -331,16 +329,6 @@ void DgramEnv::cancel_timer(TimerId id) {
   record(EventType::kTimerCancel, -1, static_cast<std::int64_t>(id));
 }
 
-void DgramEnv::trace(const std::string& tag, const std::string& detail) {
-  if (recording()) {
-    record(EventType::kNote, -1, recorder()->intern(detail),
-           recorder()->intern(tag));
-  }
-  if (!opts_.trace_to_stderr) return;
-  std::fprintf(stderr, "[%lld] p%d %s %s\n", static_cast<long long>(now()),
-               opts_.self, tag.c_str(), detail.c_str());
-}
-
 TimeUs DgramEnv::next_timer_at() const {
   return timers_.empty() ? kTimeNever : timers_.top().when;
 }
@@ -380,7 +368,6 @@ void DgramEnv::handle_frame(const std::uint8_t* data, std::size_t len,
   auto decoded = wire::decode_message(data, len, &error, &causal_seq);
   if (!decoded) {
     metrics_.add("net.decode_error");
-    trace("net.decode_error", error);
     return;
   }
   // src = kNoProcess marks a frame from outside the universe (a kv
@@ -416,7 +403,6 @@ void DgramEnv::on_datagram(const std::uint8_t* data, std::size_t len,
       // A corrupt envelope rejects whole: its framing cannot be trusted,
       // so none of the inner frames can be salvaged.
       metrics_.add("net.envelope_decode_error");
-      trace("net.envelope_decode_error", error);
       return;
     }
     envelope_recv_->fetch_add(1, std::memory_order_relaxed);

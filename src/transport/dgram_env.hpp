@@ -84,9 +84,6 @@ class DgramEnv : public Env {
     std::int32_t skew_drift_ppm{0};
     DurUs skew_bound{0};
 
-    /// When set, trace() lines go to stderr as "[t_us] pK tag detail".
-    bool trace_to_stderr{false};
-
     NetTuning net;
   };
 
@@ -209,7 +206,6 @@ class DgramEnv : public Env {
     return static_cast<int>(opts_.peers.size());
   }
   Rng& rng() override { return rng_; }
-  void trace(const std::string& tag, const std::string& detail) override;
 
  protected:
   /// One wire datagram, ready for the backend's send syscall. addr empty

@@ -1,12 +1,14 @@
 // Determinism regression suite.
 //
-// The golden hashes below were captured from the lazy-tombstone binary-heap
-// EventQueue the repo seeded with (PR 1 state). The indexed 4-ary-heap /
-// inline-action rewrite of this PR must not change a single delivery order
-// or counter, so the same constants must keep matching. If a future PR
-// *deliberately* changes simulation semantics (new message, different
-// tie-break), re-capture the constants and say so in the PR description —
-// an unexplained mismatch is a determinism bug.
+// The E4/E5 golden hashes below were captured from the lazy-tombstone
+// binary-heap EventQueue the repo seeded with; the indexed 4-ary-heap /
+// inline-action rewrite did not change a single delivery order or counter.
+// The typed-detection golden replaced a digest of the string trace: it was
+// captured over the typed event stream on the tree that still had the
+// string trace, and then carried across that channel's removal unchanged.
+// If a change *deliberately* alters simulation semantics (new message,
+// different tie-break), re-capture the constants and say so in the change
+// description — an unexplained mismatch is a determinism bug.
 //
 // The parallel half asserts that fanning the same cases across a thread
 // pool is bit-identical to running them sequentially on the main thread.
@@ -18,6 +20,7 @@
 
 #include "fd/heartbeat_p.hpp"
 #include "net/scenario.hpp"
+#include "obs/recorder.hpp"
 #include "runner/fingerprint.hpp"
 #include "runner/suite.hpp"
 #include "runner/thread_pool.hpp"
@@ -27,10 +30,11 @@ namespace {
 
 using runner::CaseMetrics;
 
-/// Full-trace digest of a small crash scenario: every net.send line, every
-/// suspicion flip, in emission order. The most order-sensitive probe we
-/// have short of diffing raw traces.
-std::uint64_t traced_detection_hash() {
+/// Typed-event digest of a small crash scenario: every send, suspicion flip
+/// and crash, in the recorder's merged order, plus counters and events
+/// fired. The rings hold the whole 2 s run, so nothing is evicted. The most
+/// order-sensitive probe we have short of diffing raw traces.
+std::uint64_t typed_detection_hash() {
   ScenarioConfig cfg;
   cfg.n = 4;
   cfg.seed = 7;
@@ -38,29 +42,45 @@ std::uint64_t traced_detection_hash() {
   cfg.gst = 0;
   cfg.delta = msec(5);
   auto sys = make_system(cfg);
-  sys->trace().enable();
+  obs::Recorder rec(std::size_t{1} << 16);
+  sys->attach_recorder(&rec);
   for (ProcessId p = 0; p < cfg.n; ++p) sys->host(p).emplace<fd::HeartbeatP>();
   sys->start();
   sys->crash_at(1, msec(500));
   sys->run_until(sec(2));
+  EXPECT_EQ(rec.dropped_total(), 0u);
 
   runner::Fnv1a h;
-  h.u64(runner::fingerprint_trace(sys->trace()));
+  for (const obs::Event& e : rec.merged()) {
+    if (e.type != obs::EventType::kSend && e.type != obs::EventType::kSuspect &&
+        e.type != obs::EventType::kUnsuspect &&
+        e.type != obs::EventType::kCrash) {
+      continue;
+    }
+    h.i64(e.time);
+    h.i64(e.host);
+    h.u64(static_cast<std::uint64_t>(e.type));
+    h.i64(e.a);
+    h.i64(e.b);
+  }
   h.u64(runner::fingerprint_counters(sys->counters()));
   h.u64(sys->scheduler().fired());
   return h.value();
 }
 
-// Golden values. Captured pre-rewrite; see file comment.
-constexpr std::uint64_t kGoldenTracedDetection = 0xfa6585c475094d51ULL;
+// Golden values; see file comment.
+constexpr std::uint64_t kGoldenTypedDetection = 0x064a44a5cbea62dbULL;
 constexpr std::uint64_t kGoldenE4Case = 0x3d39c4265c0163adULL;
 constexpr std::uint64_t kGoldenE5Case = 0xe43cdd4f359bb33eULL;
 
-TEST(Determinism, TracedDetectionMatchesGolden) {
-  const std::uint64_t h = traced_detection_hash();
-  std::printf("traced_detection_hash = 0x%016llx\n",
+TEST(Determinism, TypedDetectionMatchesGolden) {
+#if defined(ECFD_OBS_DISABLED)
+  GTEST_SKIP() << "typed events are compiled out (ECFD_OBS=OFF)";
+#endif
+  const std::uint64_t h = typed_detection_hash();
+  std::printf("typed_detection_hash = 0x%016llx\n",
               static_cast<unsigned long long>(h));
-  EXPECT_EQ(h, kGoldenTracedDetection);
+  EXPECT_EQ(h, kGoldenTypedDetection);
 }
 
 TEST(Determinism, E4CaseMatchesGolden) {
@@ -83,8 +103,8 @@ TEST(Determinism, E5CaseMatchesGolden) {
 }
 
 TEST(Determinism, RepeatedRunsIdentical) {
-  const std::uint64_t a = traced_detection_hash();
-  const std::uint64_t b = traced_detection_hash();
+  const std::uint64_t a = typed_detection_hash();
+  const std::uint64_t b = typed_detection_hash();
   EXPECT_EQ(a, b);
   const CaseMetrics m1 = runner::run_churn_case(3, 5'000, 50'000);
   const CaseMetrics m2 = runner::run_churn_case(3, 5'000, 50'000);

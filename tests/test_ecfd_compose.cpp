@@ -45,12 +45,12 @@ TEST(EcfdFromOmega, SatisfiesDefinition1OnRealOmega) {
     return testutil::OracleRefs{adapter.get(), adapter.get()};
   };
   auto res = run_fd_scenario(cfg, install, sec(8));
-  EXPECT_TRUE(res.report.is_eventually_consistent());
-  EXPECT_EQ(res.report.omega_leader, 1);
+  EXPECT_TRUE(res.eventually_consistent());
+  EXPECT_EQ(res.omega_leader, 1);
   // But the accuracy is the worst possible: strong accuracy fails because
   // correct non-leaders are suspected forever (the paper's point about the
   // poor accuracy of this construction).
-  EXPECT_FALSE(res.report.eventual_strong_accuracy.holds);
+  EXPECT_FALSE(res.holds(testutil::kStrongAccuracy));
 }
 
 // --- EcfdFromP ----------------------------------------------------------
@@ -80,11 +80,11 @@ TEST(EcfdFromP, SatisfiesDefinition1OnRealHeartbeat) {
     return testutil::OracleRefs{adapter.get(), adapter.get()};
   };
   auto res = run_fd_scenario(cfg, install, sec(8));
-  EXPECT_TRUE(res.report.is_eventually_consistent());
-  EXPECT_EQ(res.report.omega_leader, 1) << "first correct process";
+  EXPECT_TRUE(res.eventually_consistent());
+  EXPECT_EQ(res.omega_leader, 1) << "first correct process";
   // From ◇P we even keep eventual strong accuracy — the best accuracy of
   // all the constructions.
-  EXPECT_TRUE(res.report.eventual_strong_accuracy.holds);
+  EXPECT_TRUE(res.holds(testutil::kStrongAccuracy));
 }
 
 // --- EcfdFromSAndOmega ----------------------------------------------------
@@ -117,8 +117,8 @@ TEST(EcfdFromSAndOmega, ComposesHeartbeatAndLeaderCandidate) {
     return testutil::OracleRefs{adapter.get(), adapter.get()};
   };
   auto res = run_fd_scenario(cfg, install, sec(8));
-  EXPECT_TRUE(res.report.is_eventually_consistent());
-  EXPECT_EQ(res.report.omega_leader, 1);
+  EXPECT_TRUE(res.eventually_consistent());
+  EXPECT_EQ(res.omega_leader, 1);
 }
 
 }  // namespace

@@ -28,18 +28,18 @@ TEST(EfficientP, IsEventuallyPerfectAndConsistent) {
   auto cfg = base_scenario(5, 1);
   cfg.with_crash(2, msec(700)).with_crash(4, sec(1));
   auto res = run_fd_scenario(cfg, installer(), sec(8));
-  EXPECT_TRUE(res.report.is_eventually_perfect());
-  EXPECT_TRUE(res.report.is_eventually_consistent());
-  EXPECT_EQ(res.report.omega_leader, 0);
+  EXPECT_TRUE(res.eventually_perfect());
+  EXPECT_TRUE(res.eventually_consistent());
+  EXPECT_EQ(res.omega_leader, 0);
 }
 
 TEST(EfficientP, SurvivesLeaderCrash) {
   auto cfg = base_scenario(5, 2);
   cfg.with_crash(0, msec(800));
   auto res = run_fd_scenario(cfg, installer(), sec(8));
-  EXPECT_TRUE(res.report.is_eventually_perfect());
-  EXPECT_TRUE(res.report.omega.holds);
-  EXPECT_EQ(res.report.omega_leader, 1);
+  EXPECT_TRUE(res.eventually_perfect());
+  EXPECT_TRUE(res.holds(testutil::kOmega));
+  EXPECT_EQ(res.omega_leader, 1);
 }
 
 TEST(EfficientP, SteadyStateCostIsExactly2NMinus1) {
@@ -97,9 +97,9 @@ TEST_P(EfficientPSweep, EventuallyPerfect) {
     cfg.with_crash((2 * i + 1) % p.n, msec(400) + i * msec(300));
   }
   auto res = run_fd_scenario(cfg, installer(), sec(10));
-  EXPECT_TRUE(res.report.is_eventually_perfect())
+  EXPECT_TRUE(res.eventually_perfect())
       << "seed=" << p.seed << " n=" << p.n << " f=" << p.crashes;
-  EXPECT_TRUE(res.report.is_eventually_consistent());
+  EXPECT_TRUE(res.eventually_consistent());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -8,7 +8,6 @@
 namespace ecfd {
 namespace {
 
-using testutil::holds_with_margin;
 using testutil::run_fd_scenario;
 
 testutil::Installer heartbeat_installer() {
@@ -26,10 +25,9 @@ ScenarioConfig base_scenario(int n, std::uint64_t seed) {
 TEST(HeartbeatP, FailureFreeRunIsAccurate) {
   auto res = run_fd_scenario(base_scenario(5, 1), heartbeat_installer(),
                              sec(5));
-  EXPECT_TRUE(res.report.eventual_strong_accuracy.holds);
-  EXPECT_TRUE(res.report.strong_completeness.holds);  // vacuous
-  EXPECT_TRUE(holds_with_margin(res.report.eventual_strong_accuracy,
-                                res.horizon, sec(2)))
+  EXPECT_TRUE(res.holds(testutil::kStrongAccuracy));
+  EXPECT_TRUE(res.holds(testutil::kStrongCompleteness));  // vacuous
+  EXPECT_TRUE(res.holds_with_margin(testutil::kStrongAccuracy, sec(2)))
       << "accuracy should stabilize well before the horizon";
 }
 
@@ -37,17 +35,17 @@ TEST(HeartbeatP, CrashesArePermanentlySuspected) {
   auto cfg = base_scenario(5, 2);
   cfg.with_crash(1, msec(600)).with_crash(4, sec(1));
   auto res = run_fd_scenario(cfg, heartbeat_installer(), sec(5));
-  EXPECT_TRUE(res.report.is_eventually_perfect())
-      << "SC from=" << res.report.strong_completeness.from
-      << " ESA from=" << res.report.eventual_strong_accuracy.from;
+  EXPECT_TRUE(res.eventually_perfect()) << res.summary();
 }
 
 TEST(HeartbeatP, SurvivesCrashBeforeGst) {
   auto cfg = base_scenario(4, 3);
   cfg.with_crash(0, msec(100));  // crash during the chaotic period
   auto res = run_fd_scenario(cfg, heartbeat_installer(), sec(5));
-  EXPECT_TRUE(res.report.is_eventually_perfect());
-  EXPECT_NE(res.report.ewa_witness, 0);
+  EXPECT_TRUE(res.eventually_perfect());
+  // The weak-accuracy witness is a correct process, never the crashed p0.
+  EXPECT_EQ(res.verdict(testutil::kWeakAccuracy)->witness.find("p0"),
+            std::string::npos);
 }
 
 TEST(HeartbeatP, TimeoutsAdaptUpward) {
@@ -112,11 +110,10 @@ TEST_P(HeartbeatPSweep, EventuallyPerfect) {
     cfg.with_crash(param.n - 1 - i, msec(200) + i * msec(300));
   }
   auto res = run_fd_scenario(cfg, heartbeat_installer(), sec(6));
-  EXPECT_TRUE(res.report.is_eventually_perfect())
+  EXPECT_TRUE(res.eventually_perfect())
       << "seed=" << param.seed << " n=" << param.n
       << " crashes=" << param.crashes;
-  EXPECT_TRUE(holds_with_margin(res.report.strong_completeness, res.horizon,
-                                sec(1)));
+  EXPECT_TRUE(res.holds_with_margin(testutil::kStrongCompleteness, sec(1)));
 }
 
 INSTANTIATE_TEST_SUITE_P(

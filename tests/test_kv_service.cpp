@@ -13,9 +13,12 @@
 #include <vector>
 
 #include "core/ecfd_compose.hpp"
+#include "fd/hier_c.hpp"
 #include "fd/ring_fd.hpp"
+#include "fd/swim.hpp"
 #include "net/protocol_ids.hpp"
 #include "net/scenario.hpp"
+#include "obs/recorder.hpp"
 #include "scenario_util.hpp"
 
 namespace ecfd::kv {
@@ -185,6 +188,57 @@ TEST(KvService, LeaseReadsSkipTheLogAndLogReadsDoNot) {
   EXPECT_EQ(log_reply->results[0].value, "v");
   EXPECT_GT(c->services[0]->store().stats().log_reads, 0);
   EXPECT_GT(c->services[0]->applied_slot(), slots_before);
+}
+
+// Recording is on in every node with --trace, --postmortem or
+// --metrics-port, and such a node runs forever, so no protocol transition
+// may intern a per-event string: once warm, the recorder's string table
+// must stop growing. The partition below drives every transition that once
+// did: SWIM suspicions and a refutation at a higher incarnation, hier_c
+// cell suspicions, a kv lease grant/revoke cycle on the partitioned
+// replica, and a snapshot install when it rejoins.
+TEST(KvService, RecordedRunKeepsTheInternTableFlat) {
+#if defined(ECFD_OBS_DISABLED)
+  GTEST_SKIP() << "typed events are compiled out (ECFD_OBS=OFF)";
+#endif
+  auto c = make_cluster(3, 5, /*snapshot_every=*/8);
+  obs::Recorder rec(256);
+  c->sys->attach_recorder(&rec);
+  std::vector<fd::SwimFd*> swims;
+  std::vector<fd::HierC*> hiers;
+  for (ProcessId p = 0; p < 3; ++p) {
+    swims.push_back(&c->sys->host(p).emplace<fd::SwimFd>());
+    hiers.push_back(&c->sys->host(p).emplace<fd::HierC>());
+  }
+  ASSERT_EQ(hiers[0]->n_cells(), 2);  // {p0, p1} and {p2}
+  c->sys->start();
+  c->sys->run_until(msec(400));
+  ASSERT_TRUE(c->services[0]->lease_valid()) << "warm: p0 holds its lease";
+  const std::size_t warm = rec.strings().size();
+  const std::uint32_t incarnation = swims[2]->incarnation();
+
+  c->sys->network().partition(minority(3, 2));
+  c->sys->run_until(msec(600));
+  c->services[0]->handle_request(1, open_req(1));
+  c->sys->run_until(sec(1));
+  for (std::uint64_t q = 1; q <= 24; ++q) {
+    c->services[0]->handle_request(
+        1, write_req(1 + q, q, "key" + std::to_string(q), "v"));
+    c->sys->run_until(sec(1) + msec(50 * static_cast<int>(q)));
+  }
+  c->sys->run_until(sec(4));
+  EXPECT_TRUE(swims[0]->suspected().contains(2));
+  EXPECT_TRUE(hiers[1]->suspected().contains(2))
+      << "p1 learns of p2 only through the top leader's cell suspicion";
+  EXPECT_TRUE(c->services[2]->lease_valid()) << "isolated p2 trusts itself";
+  c->services[0]->snapshot_now();
+
+  c->sys->network().heal();
+  c->sys->run_until(sec(10));
+  EXPECT_FALSE(c->services[2]->lease_valid()) << "p2's lease was revoked";
+  EXPECT_GT(c->logs[2]->compacted_upto(), 0) << "p2 installed a snapshot";
+  EXPECT_GT(swims[2]->incarnation(), incarnation) << "p2 refuted";
+  EXPECT_EQ(rec.strings().size(), warm);
 }
 
 TEST(KvService, RetriedWriteAcrossLeaderFailoverAppliesExactlyOnce) {

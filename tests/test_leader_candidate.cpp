@@ -8,7 +8,6 @@
 namespace ecfd {
 namespace {
 
-using testutil::holds_with_margin;
 using testutil::run_fd_scenario;
 
 testutil::Installer lc_installer() {
@@ -25,17 +24,17 @@ ScenarioConfig base_scenario(int n, std::uint64_t seed) {
 
 TEST(LeaderCandidate, ElectsP0WhenAllCorrect) {
   auto res = run_fd_scenario(base_scenario(5, 1), lc_installer(), sec(5));
-  EXPECT_TRUE(res.report.omega.holds);
-  EXPECT_EQ(res.report.omega_leader, 0);
-  EXPECT_TRUE(holds_with_margin(res.report.omega, res.horizon, sec(2)));
+  EXPECT_TRUE(res.holds(testutil::kOmega));
+  EXPECT_EQ(res.omega_leader, 0);
+  EXPECT_TRUE(res.holds_with_margin(testutil::kOmega, sec(2)));
 }
 
 TEST(LeaderCandidate, FallsThroughCrashedPrefix) {
   auto cfg = base_scenario(5, 2);
   cfg.with_crash(0, msec(500)).with_crash(1, msec(800));
   auto res = run_fd_scenario(cfg, lc_installer(), sec(8));
-  EXPECT_TRUE(res.report.omega.holds);
-  EXPECT_EQ(res.report.omega_leader, 2);
+  EXPECT_TRUE(res.holds(testutil::kOmega));
+  EXPECT_EQ(res.omega_leader, 2);
 }
 
 TEST(LeaderCandidate, RecoversFromPreGstMistakes) {
@@ -43,8 +42,8 @@ TEST(LeaderCandidate, RecoversFromPreGstMistakes) {
   cfg.pre_gst_max = msec(200);  // force mistaken suspicion of p0
   cfg.gst = msec(800);
   auto res = run_fd_scenario(cfg, lc_installer(), sec(8));
-  EXPECT_TRUE(res.report.omega.holds);
-  EXPECT_EQ(res.report.omega_leader, 0)
+  EXPECT_TRUE(res.holds(testutil::kOmega));
+  EXPECT_EQ(res.omega_leader, 0)
       << "rollback must restore the lowest-id correct leader";
 }
 
@@ -99,8 +98,8 @@ TEST_P(LeaderCandidateSweep, OmegaHolds) {
     cfg.with_crash(i, msec(300) + i * msec(200));
   }
   auto res = run_fd_scenario(cfg, lc_installer(), sec(10));
-  EXPECT_TRUE(res.report.omega.holds) << "seed=" << param.seed;
-  EXPECT_EQ(res.report.omega_leader, param.prefix_crashes)
+  EXPECT_TRUE(res.holds(testutil::kOmega)) << "seed=" << param.seed;
+  EXPECT_EQ(res.omega_leader, param.prefix_crashes)
       << "leader must be the first correct process";
 }
 

@@ -200,22 +200,28 @@ TEST(Scenario, MakeSystemAppliesCrashes) {
   EXPECT_TRUE(sys->host(2).crashed());
 }
 
-TEST(Trace, CapturesSendAndCrashEvents) {
+TEST(RecorderEvents, CapturesSendAndCrashEvents) {
+#if defined(ECFD_OBS_DISABLED)
+  GTEST_SKIP() << "typed events are compiled out (ECFD_OBS=OFF)";
+#endif
   System sys(2, 1);
-  sys.trace().enable();
+  obs::Recorder rec(64);
+  sys.attach_recorder(&rec);
   auto pp = install_pingpong(sys);
   sys.start();
   pp[0]->ping(1);
   sys.run_until(msec(50));
   sys.crash_now(1);
   int sends = 0;
-  sys.trace().for_tag("net.send", [&](const sim::TraceEvent&) { ++sends; });
-  EXPECT_EQ(sends, 2) << "ping + pong";
   int crashes = 0;
-  sys.trace().for_tag("crash", [&](const sim::TraceEvent& e) {
-    ++crashes;
-    EXPECT_EQ(e.process, 1);
-  });
+  for (const obs::Event& e : rec.merged()) {
+    if (e.type == obs::EventType::kSend) ++sends;
+    if (e.type == obs::EventType::kCrash) {
+      ++crashes;
+      EXPECT_EQ(e.host, 1);
+    }
+  }
+  EXPECT_EQ(sends, 2) << "ping + pong";
   EXPECT_EQ(crashes, 1);
 }
 

@@ -165,15 +165,19 @@ TEST(RuntimeScale, HierDigestReachesRemoteCellN4096) {
   sys.host(victim).crash();
 
   // Observer p1 sits in cell 0 — it can only learn of the crash through
-  // the composed digest. Poll its oracle on its own executor.
+  // the composed digest. Poll its oracle on its own executor. The poller
+  // holds itself weakly: each queued re-poll owns it, so it dies with the
+  // last one instead of leaking through a self-reference.
   std::atomic<bool> adopted{false};
   auto poller = std::make_shared<std::function<void()>>();
-  *poller = [&sys, &adopted, &fds, poller, victim]() {
+  const std::weak_ptr<std::function<void()>> weak = poller;
+  *poller = [&sys, &adopted, &fds, weak, victim]() {
     if (fds[1]->suspected().contains(victim)) {
       adopted.store(true);
       return;
     }
-    sys.host(1).post_at(sys.now() + msec(100), [poller]() { (*poller)(); });
+    sys.host(1).post_at(sys.now() + msec(100),
+                        [self = weak.lock()]() { (*self)(); });
   };
   sys.host(1).post([poller]() { (*poller)(); });
 

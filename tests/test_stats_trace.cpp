@@ -1,5 +1,4 @@
 #include "sim/stats.hpp"
-#include "sim/trace.hpp"
 
 #include <gtest/gtest.h>
 
@@ -66,42 +65,6 @@ TEST(Summary, AddAfterQueryStillSorted) {
   s.add(1.0);
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
   EXPECT_DOUBLE_EQ(s.min(), 1.0);
-}
-
-TEST(Trace, DisabledByDefaultAndRecordsNothing) {
-  Trace t;
-  EXPECT_FALSE(t.enabled());
-  t.emit(10, 0, "tag", "detail");
-  EXPECT_TRUE(t.events().empty());
-}
-
-TEST(Trace, RecordsWhenEnabled) {
-  Trace t;
-  t.enable();
-  t.emit(10, 2, "fd.suspect", "p3");
-  t.emit(20, -1, "sys", "");
-  ASSERT_EQ(t.events().size(), 2u);
-  EXPECT_EQ(t.events()[0].time, 10);
-  EXPECT_EQ(t.events()[0].process, 2);
-  EXPECT_EQ(t.events()[0].tag, "fd.suspect");
-}
-
-TEST(Trace, ForTagFilters) {
-  Trace t;
-  t.enable();
-  t.emit(1, 0, "a", "");
-  t.emit(2, 0, "b", "");
-  t.emit(3, 0, "a", "");
-  int count = 0;
-  t.for_tag("a", [&](const TraceEvent&) { ++count; });
-  EXPECT_EQ(count, 2);
-}
-
-TEST(Trace, ToStringFormat) {
-  Trace t;
-  t.enable();
-  t.emit(5, 1, "x", "y");
-  EXPECT_EQ(t.to_string(), "[5us] p1 x y\n");
 }
 
 }  // namespace

@@ -32,17 +32,17 @@ TEST(Swim, IsEventuallyConsistentUnderCrashes) {
   auto cfg = base_scenario(8, 1);
   cfg.with_crash(2, msec(700)).with_crash(5, sec(1));
   auto res = run_fd_scenario(cfg, installer(), sec(10));
-  EXPECT_TRUE(res.report.is_eventually_perfect());
-  EXPECT_TRUE(res.report.is_eventually_consistent());
-  EXPECT_EQ(res.report.omega_leader, 0);
+  EXPECT_TRUE(res.eventually_perfect());
+  EXPECT_TRUE(res.eventually_consistent());
+  EXPECT_EQ(res.omega_leader, 0);
 }
 
 TEST(Swim, LowestIdCrashMovesTrust) {
   auto cfg = base_scenario(6, 2);
   cfg.with_crash(0, msec(800));
   auto res = run_fd_scenario(cfg, installer(), sec(10));
-  EXPECT_TRUE(res.report.is_eventually_consistent());
-  EXPECT_EQ(res.report.omega_leader, 1);
+  EXPECT_TRUE(res.eventually_consistent());
+  EXPECT_EQ(res.omega_leader, 1);
 }
 
 TEST(Swim, IndirectProbesMaskOneBadLinkPair) {
@@ -165,27 +165,17 @@ TEST(Swim, UnmutatedPassesGrayDisseminatorScenario) {
   cfg.seed = 7;
   cfg.links = LinkKind::kReliable;
   cfg.with_crash(n - 1, sec(2));
-  auto sys = make_system(cfg);
-  std::vector<std::shared_ptr<void>> keepalive;
-  FdProbe probe(*sys, msec(5));
-  for (ProcessId p = 0; p < n; ++p) {
-    auto& f = sys->host(p).emplace<fd::SwimFd>();
-    probe.attach(p, &f, &f);
-  }
-  sys->host(1).set_gray(3000, msec(30));
-  const TimeUs horizon = sec(10);
-  probe.start(horizon);
-  sys->start();
-  sys->run_until(horizon);
-  RunFacts facts;
-  facts.n = n;
-  facts.correct = ProcessSet::full(n);
-  facts.correct.remove(n - 1);
-  facts.end_time = horizon;
-  const FdReport report = check_fd_properties(facts, probe.samples());
-  EXPECT_TRUE(report.strong_completeness.holds);
-  EXPECT_TRUE(report.eventual_strong_accuracy.holds);
-  EXPECT_TRUE(report.is_eventually_consistent());
+  const auto install = [](ProcessHost& host, ProcessId,
+                          std::vector<std::shared_ptr<void>>&) {
+    auto& f = host.emplace<fd::SwimFd>();
+    return testutil::OracleRefs{&f, &f};
+  };
+  auto res = run_fd_scenario(cfg, install, sec(10), [](System& sys) {
+    sys.host(1).set_gray(3000, msec(30));
+  });
+  EXPECT_TRUE(res.holds(testutil::kStrongCompleteness));
+  EXPECT_TRUE(res.holds(testutil::kStrongAccuracy));
+  EXPECT_TRUE(res.eventually_consistent()) << res.summary();
 }
 
 }  // namespace

@@ -177,69 +177,45 @@ TEST(ThreadRuntime, ConsensusOnRealThreads) {
   }
 }
 
-TEST(ThreadRuntime, LegacyEscapeHatchStillDelivers) {
-  ThreadSystem::Config cfg;
-  cfg.n = 3;
-  cfg.seed = 7;
-  cfg.legacy_thread_per_process = true;
-  ThreadSystem sys(cfg);
-  std::vector<Counter*> cs;
-  for (ProcessId p = 0; p < 3; ++p) cs.push_back(&sys.host(p).emplace<Counter>());
-  sys.start();
-  for (int i = 0; i < 10; ++i) cs[0]->send_to(1);
-  std::atomic<bool> fired{false};
-  sys.host(2).post([&sys, &fired]() {
-    sys.host(2).set_timer(msec(20), [&fired]() { fired = true; });
-  });
-  EXPECT_TRUE(eventually(3000, [&] {
-    return cs[1]->received.load() == 10 && fired.load();
-  }));
-}
-
 // Regression for the old runtime's cancel_timer leak: cancelling an
 // already-fired timer used to insert a tombstone that nothing ever erased.
-// Both executors must end a busy arm/fire/cancel cycle with zero pending
-// timers and zero bookkeeping records.
+// A busy arm/fire/cancel cycle must end with zero pending timers and zero
+// bookkeeping records.
 TEST(ThreadRuntime, TimerBookkeepingDrainsAfterQuiescence) {
-  for (const bool legacy : {false, true}) {
-    SCOPED_TRACE(legacy ? "legacy" : "sharded");
-    ThreadSystem::Config cfg;
-    cfg.n = 1;
-    cfg.seed = 11;
-    cfg.legacy_thread_per_process = legacy;
-    ThreadSystem sys(cfg);
-    sys.host(0).emplace<Counter>();
-    sys.start();
-    std::mutex mu;
-    std::vector<TimerId> ids;
-    std::atomic<int> fired{0};
-    sys.host(0).post([&]() {
-      for (int i = 0; i < 50; ++i) {
-        TimerId id =
-            sys.host(0).set_timer(msec(1 + i % 5), [&fired]() { ++fired; });
-        std::lock_guard<std::mutex> lock(mu);
-        ids.push_back(id);
-      }
-      for (int i = 0; i < 50; ++i) {
-        TimerId id = sys.host(0).set_timer(msec(40), []() {});
-        sys.host(0).cancel_timer(id);  // cancel before fire, on owner
-      }
-    });
-    ASSERT_TRUE(eventually(5000, [&] { return fired.load() == 50; }));
-    {
-      // Cancel every already-fired timer from a foreign thread — the exact
-      // sequence that used to leak one record per call, forever.
+  ThreadSystem::Config cfg;
+  cfg.n = 1;
+  cfg.seed = 11;
+  ThreadSystem sys(cfg);
+  sys.host(0).emplace<Counter>();
+  sys.start();
+  std::mutex mu;
+  std::vector<TimerId> ids;
+  std::atomic<int> fired{0};
+  sys.host(0).post([&]() {
+    for (int i = 0; i < 50; ++i) {
+      TimerId id =
+          sys.host(0).set_timer(msec(1 + i % 5), [&fired]() { ++fired; });
       std::lock_guard<std::mutex> lock(mu);
-      for (TimerId id : ids) sys.host(0).cancel_timer(id);
-      for (TimerId id : ids) sys.host(0).cancel_timer(id);  // and twice
+      ids.push_back(id);
     }
-    sleep_ms(100);  // let legacy tombstones reach their deadline
-    EXPECT_TRUE(eventually(3000, [&] {
-      return sys.host(0).pending_timers() == 0 &&
-             sys.host(0).bookkeeping_records() == 0;
-    })) << "pending=" << sys.host(0).pending_timers()
-        << " bookkeeping=" << sys.host(0).bookkeeping_records();
+    for (int i = 0; i < 50; ++i) {
+      TimerId id = sys.host(0).set_timer(msec(40), []() {});
+      sys.host(0).cancel_timer(id);  // cancel before fire, on owner
+    }
+  });
+  ASSERT_TRUE(eventually(5000, [&] { return fired.load() == 50; }));
+  {
+    // Cancel every already-fired timer from a foreign thread — the exact
+    // sequence that used to leak one record per call, forever.
+    std::lock_guard<std::mutex> lock(mu);
+    for (TimerId id : ids) sys.host(0).cancel_timer(id);
+    for (TimerId id : ids) sys.host(0).cancel_timer(id);  // and twice
   }
+  EXPECT_TRUE(eventually(3000, [&] {
+    return sys.host(0).pending_timers() == 0 &&
+           sys.host(0).bookkeeping_records() == 0;
+  })) << "pending=" << sys.host(0).pending_timers()
+      << " bookkeeping=" << sys.host(0).bookkeeping_records();
 }
 
 // set_timer/cancel_timer from a non-worker thread (how tests and monitors
@@ -272,7 +248,7 @@ TEST(ThreadRuntime, ForeignThreadTimersFireAndCancel) {
 
 TEST(ThreadRuntime, TraceRingKeepsLastEvents) {
 #if defined(ECFD_OBS_DISABLED)
-  GTEST_SKIP() << "trace() lands in the obs recorder, compiled out here";
+  GTEST_SKIP() << "typed events are compiled out (ECFD_OBS=OFF)";
 #endif
   ThreadSystem::Config cfg;
   cfg.n = 1;
@@ -282,17 +258,16 @@ TEST(ThreadRuntime, TraceRingKeepsLastEvents) {
   sys.start();
   std::atomic<bool> done{false};
   sys.host(0).post([&]() {
-    for (int i = 0; i < 10; ++i) {
-      sys.host(0).trace("t.ring", std::to_string(i));
-    }
+    for (int i = 0; i < 10; ++i) sys.host(0).record(EventType::kSuspect, i);
     done = true;
   });
   ASSERT_TRUE(eventually(3000, [&] { return done.load(); }));
-  const auto tr = sys.host(0).recent_trace();
+  std::vector<obs::Event> tr;
+  sys.recorder()->state_ring(0).snapshot(&tr);
   ASSERT_EQ(tr.size(), 4u);
-  EXPECT_EQ(tr[0].detail, "6");
-  EXPECT_EQ(tr[3].detail, "9");
-  for (const auto& rec : tr) EXPECT_EQ(rec.tag, "t.ring");
+  EXPECT_EQ(tr[0].a, 6);
+  EXPECT_EQ(tr[3].a, 9);
+  for (const auto& e : tr) EXPECT_EQ(e.type, EventType::kSuspect);
 }
 
 TEST(ThreadRuntime, TraceIsOffByDefault) {
@@ -301,13 +276,16 @@ TEST(ThreadRuntime, TraceIsOffByDefault) {
   ThreadSystem sys(cfg);
   sys.host(0).emplace<Counter>();
   sys.start();
+  std::atomic<bool> recording{true};
   std::atomic<bool> done{false};
   sys.host(0).post([&]() {
-    sys.host(0).trace("t.ring", "x");
+    sys.host(0).record(EventType::kSuspect, 0);
+    recording = sys.host(0).recording();
     done = true;
   });
   ASSERT_TRUE(eventually(3000, [&] { return done.load(); }));
-  EXPECT_TRUE(sys.host(0).recent_trace().empty());
+  EXPECT_EQ(sys.recorder(), nullptr);
+  EXPECT_FALSE(recording.load());
 }
 
 // A protocol timer that cancels itself from inside its own callback (and

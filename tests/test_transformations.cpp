@@ -43,10 +43,9 @@ TEST(WToS, SpreadsASingleWitnessSuspicionToEveryone) {
   };
 
   auto res = run_fd_scenario(cfg, install, sec(4));
-  EXPECT_TRUE(res.report.strong_completeness.holds)
-      << "from=" << res.report.strong_completeness.from;
+  EXPECT_TRUE(res.holds(testutil::kStrongCompleteness)) << res.summary();
   // Nothing false is introduced: accuracy intact.
-  EXPECT_TRUE(res.report.eventual_strong_accuracy.holds);
+  EXPECT_TRUE(res.holds(testutil::kStrongAccuracy));
 }
 
 TEST(WToS, GossipedFalseSuspicionIsClearedByTheVictim) {
@@ -74,7 +73,7 @@ TEST(WToS, GossipedFalseSuspicionIsClearedByTheVictim) {
   };
 
   auto res = run_fd_scenario(cfg, install, sec(4));
-  EXPECT_TRUE(res.report.eventual_strong_accuracy.holds)
+  EXPECT_TRUE(res.holds(testutil::kStrongAccuracy))
       << "stale gossiped suspicion must wash out";
 }
 
@@ -101,7 +100,7 @@ TEST(WToS, PerpetualInputMistakeDoesNotStickAtTheOutput) {
   };
 
   auto res = run_fd_scenario(cfg, install, sec(4));
-  EXPECT_TRUE(res.report.eventual_weak_accuracy.holds);
+  EXPECT_TRUE(res.holds(testutil::kWeakAccuracy));
 }
 
 TEST(WToS, OnRealHeartbeatInputStaysEventuallyPerfect) {
@@ -114,7 +113,7 @@ TEST(WToS, OnRealHeartbeatInputStaysEventuallyPerfect) {
     return testutil::OracleRefs{&out, nullptr};
   };
   auto res = run_fd_scenario(cfg, install, sec(6));
-  EXPECT_TRUE(res.report.is_eventually_perfect());
+  EXPECT_TRUE(res.eventually_perfect());
 }
 
 // --- OmegaFromS --------------------------------------------------------
@@ -138,8 +137,8 @@ TEST(OmegaFromS, ConvergesToTheNeverSuspectedProcess) {
   };
 
   auto res = run_fd_scenario(cfg, install, sec(4));
-  EXPECT_TRUE(res.report.omega.holds);
-  EXPECT_EQ(res.report.omega_leader, 2)
+  EXPECT_TRUE(res.holds(testutil::kOmega));
+  EXPECT_EQ(res.omega_leader, 2)
       << "the penalty argmin must settle on the unsuspected process";
 }
 
@@ -153,12 +152,12 @@ TEST(OmegaFromS, OnRealHeartbeatElectsFirstCorrect) {
     return testutil::OracleRefs{&in, &omega};
   };
   auto res = run_fd_scenario(cfg, install, sec(8));
-  EXPECT_TRUE(res.report.omega.holds);
+  EXPECT_TRUE(res.holds(testutil::kOmega));
   // With a clean ◇P input, the crashed p0 accumulates penalty forever; any
   // correct process can win, but it must be correct and common. With ties
   // broken by id, p1 is the expected winner.
-  EXPECT_EQ(res.report.omega_leader, 1);
-  EXPECT_TRUE(res.report.is_eventually_consistent())
+  EXPECT_EQ(res.omega_leader, 1);
+  EXPECT_TRUE(res.eventually_consistent())
       << "heartbeat sets + derived leader compose into ◇C";
 }
 

@@ -9,7 +9,7 @@
 //
 //   ecfd_node --config cluster.ini --id 0 [--fd F] [--backend B]
 //             [--consensus] [--kv] [--propose V] [--run-ms MS]
-//             [--report-ms MS] [--verbose] [--metrics-port P]
+//             [--report-ms MS] [--metrics-port P]
 //             [--metrics FILE] [--trace FILE]
 //
 //   --fd F       heartbeat_p   all-to-all heartbeat ◇P (n(n-1) msgs/period)
@@ -106,7 +106,6 @@ void usage() {
       "  --propose V     consensus proposal (default: node id)\n"
       "  --run-ms MS     exit after MS ms (default: until SIGINT/SIGTERM)\n"
       "  --report-ms MS  report period (default 500)\n"
-      "  --verbose       trace protocol events to stderr\n"
       "  --metrics-port P  serve /metrics (Prometheus), /metrics.json,\n"
       "                  /metrics.txt and /qos over HTTP on 127.0.0.1:P\n"
       "  --metrics FILE  write final counters as ecfd.metrics.v1 JSON\n"
@@ -232,7 +231,6 @@ int main(int argc, char** argv) {
   std::optional<consensus::Value> propose;
   std::int64_t run_ms = -1;
   std::int64_t report_ms = 500;
-  bool verbose = false;
   int metrics_port = -1;
   std::string metrics_path;
   std::string trace_path;
@@ -268,8 +266,6 @@ int main(int argc, char** argv) {
       run_ms = std::stoll(next());
     } else if (a == "--report-ms") {
       report_ms = std::stoll(next());
-    } else if (a == "--verbose") {
-      verbose = true;
     } else if (a == "--metrics-port") {
       metrics_port = std::stoi(next());
     } else if (a == "--metrics") {
@@ -322,7 +318,6 @@ int main(int argc, char** argv) {
   opts.loss = cfg->loss;
   opts.min_extra_delay = cfg->min_delay;
   opts.max_extra_delay = cfg->max_delay;
-  opts.trace_to_stderr = verbose;
   opts.net = transport::net_tuning_from(*cfg);
 
   std::string note;
