@@ -130,7 +130,7 @@ Outcome run(Profile prof, bool adaptive, std::uint64_t seed) {
   sys->start();
   sys->run_until(kHorizon);
 
-  const obs::QosScoreboard sb = bench::score_run(rec, kN, kHorizon, kVictim, kCrashAt);
+  const obs::QosScoreboard sb = bench::score_run(rec, kN, kHorizon);
   ProcessSet correct = ProcessSet::full(kN);
   correct.remove(kVictim);
   // Every correct process suspects the victim once the slowest one does;

@@ -42,10 +42,7 @@
 #include <thread>
 #include <vector>
 
-#include "fd/efficient_p.hpp"
-#include "fd/heartbeat_p.hpp"
-#include "fd/hier_c.hpp"
-#include "fd/swim.hpp"
+#include "consensus/fd_stacks.hpp"
 #include "net/scenario.hpp"
 #include "runtime/thread_env.hpp"
 #include "sim/alloc_counter.hpp"
@@ -56,26 +53,18 @@ namespace {
 
 using runtime::ThreadSystem;
 
-enum class Stack { kFlat, kEffP, kHier, kSwim };
+using consensus::FdStack;
 
-const char* stack_name(Stack s) {
-  switch (s) {
-    case Stack::kFlat: return "heartbeat_p";
-    case Stack::kEffP: return "efficient_p";
-    case Stack::kHier: return "hier_c";
-    case Stack::kSwim: return "swim";
-  }
-  return "?";
-}
+const char* stack_name(FdStack s) { return consensus::fd_stack_info(s).name; }
 
-const char* stack_prefix(Stack s) {
+const char* stack_prefix(FdStack s) {
   switch (s) {
-    case Stack::kFlat: return "msg.hb_p.";
-    case Stack::kEffP: return "msg.effp.";
-    case Stack::kHier: return "msg.hier.";
-    case Stack::kSwim: return "msg.swim.";
+    case FdStack::kHeartbeatP: return "msg.hb_p.";
+    case FdStack::kEfficientP: return "msg.effp.";
+    case FdStack::kHierC: return "msg.hier.";
+    case FdStack::kSwim: return "msg.swim.";
+    default: return "?";
   }
-  return "?";
 }
 
 /// Probe cadence per n for the simulator section: larger universes beat
@@ -86,54 +75,15 @@ DurUs period_for(int n) {
   return msec(500);
 }
 
-fd::HeartbeatP::Config flat_cfg(DurUs period) {
-  fd::HeartbeatP::Config c;
-  c.period = period;
-  c.initial_timeout = 3 * period;
-  c.timeout_increment = period;
-  return c;
-}
-
-fd::EfficientP::Config effp_cfg(DurUs period) {
-  fd::EfficientP::Config c;
-  c.period = period;
-  c.initial_timeout = 3 * period;
-  c.timeout_increment = period;
-  return c;
-}
-
-fd::HierC::Config hier_cfg(DurUs period) {
-  fd::HierC::Config c;
-  c.period = period;
-  c.initial_timeout = 3 * period;
-  c.timeout_increment = period;
-  return c;
-}
-
-fd::SwimFd::Config swim_cfg(DurUs period) {
-  fd::SwimFd::Config c;
-  c.period = period;
-  c.ack_timeout = std::max<DurUs>(msec(10), period / 4);
-  c.timeout_increment = c.ack_timeout;
-  c.suspect_timeout = 4 * period;
-  return c;
-}
-
-/// Installs one stack instance on a host (sim ProcessHost or ThreadHost —
-/// both expose emplace<P>) and returns it as the suspicion oracle.
-template <class Host>
-const SuspectOracle* install(Stack s, Host& host, DurUs period) {
-  switch (s) {
-    case Stack::kFlat:
-      return &host.template emplace<fd::HeartbeatP>(flat_cfg(period));
-    case Stack::kEffP:
-      return &host.template emplace<fd::EfficientP>(effp_cfg(period));
-    case Stack::kHier:
-      return &host.template emplace<fd::HierC>(hier_cfg(period));
-    case Stack::kSwim:
-      return &host.template emplace<fd::SwimFd>(swim_cfg(period));
-  }
-  return nullptr;
+/// Installs one stack instance on a host (sim or threaded) at \p period,
+/// with a 3-period initial timeout widened by a period per mistake, and
+/// returns it as the suspicion oracle.
+const SuspectOracle* install(FdStack s, Host& host, DurUs period) {
+  consensus::FdStackParams params;
+  params.period = period;
+  params.initial_timeout = 3 * period;
+  params.timeout_increment = period;
+  return consensus::install_fd_stack(s, host, params).suspect;
 }
 
 // --- section 1: message cost on the deterministic simulator -------------
@@ -157,7 +107,7 @@ struct MsgCost {
   std::int64_t total{0};
 };
 
-MsgCost run_msg_cost(Stack s, int n, int warm_periods, int window_periods) {
+MsgCost run_msg_cost(FdStack s, int n, int warm_periods, int window_periods) {
   ScenarioConfig sc;
   sc.n = n;
   sc.seed = 42;
@@ -189,13 +139,13 @@ struct DetectResult {
   double msgs_per_node_per_sec{0};
 };
 
-DetectResult run_detect(Stack s, int n, DurUs period) {
+DetectResult run_detect(FdStack s, int n, DurUs period) {
   ThreadSystem::Config cfg;
   cfg.n = n;
   cfg.seed = 7;
   cfg.min_delay = usec(100);
   cfg.max_delay = msec(2);
-  if (s == Stack::kHier) {
+  if (s == FdStack::kHierC) {
     // Cell-aware placement: HierC's default cells are contiguous blocks of
     // ceil(sqrt(n)) ids, so pin each cell to one worker.
     cfg.shard_block =
@@ -284,7 +234,7 @@ DetectResult run_detect(Stack s, int n, DurUs period) {
 /// its stacks. The counting allocator (sim/alloc_counter.cpp, linked into
 /// this binary only) is the right probe here: VmRSS deltas read ~0 once
 /// the heap has freed arenas from earlier sections to reuse.
-double construct_heap_mb(Stack s, int n) {
+double construct_heap_mb(FdStack s, int n) {
   const std::uint64_t before = sim::alloc_bytes();
   ThreadSystem::Config cfg;
   cfg.n = n;
@@ -324,22 +274,25 @@ int main(int argc, char** argv) {
                      "msgs_per_node_per_sec", "total_msgs"});
   cost.print_header();
   double flat4096 = 0, hier4096 = 0, swim4096 = 0;
-  for (Stack s : {Stack::kFlat, Stack::kEffP, Stack::kHier, Stack::kSwim}) {
+  for (FdStack s : {FdStack::kHeartbeatP, FdStack::kEfficientP,
+                    FdStack::kHierC, FdStack::kSwim}) {
     for (int n : sizes) {
-      const bool flatish = s == Stack::kFlat || s == Stack::kEffP;
+      const bool flatish =
+          s == FdStack::kHeartbeatP || s == FdStack::kEfficientP;
       if (n > (flatish ? nmax_flat : nmax)) continue;
       // Flat at n=4096 moves ~17M messages per period; one window period
       // keeps the run short without changing the count's meaning (the sim
       // is deterministic — the count is exact, not sampled).
-      const int warm = (s == Stack::kFlat && n >= 4096) ? 1 : 2;
-      const int window = (s == Stack::kFlat && n >= 4096) ? 1 : (quick ? 2 : 4);
+      const int warm = (s == FdStack::kHeartbeatP && n >= 4096) ? 1 : 2;
+      const int window =
+          (s == FdStack::kHeartbeatP && n >= 4096) ? 1 : (quick ? 2 : 4);
       const MsgCost r = run_msg_cost(s, n, warm, window);
       cost.print_row(stack_name(s), n, period_for(n) / 1000,
                      r.per_node_per_period, r.per_node_per_sec, r.total);
       if (n == 4096) {
-        if (s == Stack::kFlat) flat4096 = r.per_node_per_period;
-        if (s == Stack::kHier) hier4096 = r.per_node_per_period;
-        if (s == Stack::kSwim) swim4096 = r.per_node_per_period;
+        if (s == FdStack::kHeartbeatP) flat4096 = r.per_node_per_period;
+        if (s == FdStack::kHierC) hier4096 = r.per_node_per_period;
+        if (s == FdStack::kSwim) swim4096 = r.per_node_per_period;
       }
     }
   }
@@ -351,12 +304,13 @@ int main(int argc, char** argv) {
   det.print_header();
   const std::vector<int> det_sizes =
       quick ? std::vector<int>{256} : std::vector<int>{256, 1024};
-  for (Stack s : {Stack::kFlat, Stack::kHier, Stack::kSwim}) {
+  for (FdStack s : {FdStack::kHeartbeatP, FdStack::kHierC, FdStack::kSwim}) {
     for (int n : det_sizes) {
       // Flat's all-to-all load forces a slow deployment-realistic cadence;
       // the O(n)-total stacks afford 100ms probing at either size.
       const DurUs period =
-          s == Stack::kFlat ? (n <= 256 ? msec(250) : msec(1000)) : msec(100);
+          s == FdStack::kHeartbeatP ? (n <= 256 ? msec(250) : msec(1000))
+                                    : msec(100);
       const DetectResult r = run_detect(s, n, period);
       det.print_row(stack_name(s), n, period / 1000, r.first_ms, r.p50_ms,
                     r.max_ms, r.detected, r.observers, r.msgs_per_node_per_sec);
@@ -366,7 +320,7 @@ int main(int argc, char** argv) {
   bench::section("E13 per-host memory (threaded runtime, constructed stacks)");
   bench::Table mem({"stack", "n", "heap_mb", "kb_per_host"});
   mem.print_header();
-  for (Stack s : {Stack::kFlat, Stack::kHier, Stack::kSwim}) {
+  for (FdStack s : {FdStack::kHeartbeatP, FdStack::kHierC, FdStack::kSwim}) {
     for (int n : sizes) {
       // Flat at n=16384 IS constructible (unlike its message load): ~4 GB
       // of per-peer timer state, the O(n^2)-total-memory endpoint.

@@ -16,21 +16,14 @@
 
 namespace ecfd::bench {
 
-/// The scoreboard of a run that ended at \p end. \p crash_at declares the
-/// true crash time of \p victim (none when kNoProcess): a host records its
-/// own kCrash on its local clock, which a skewed host sets ahead or behind
-/// the observers'. Exits the bench when a state ring overflowed (a table
-/// must never report a truncated count) and when the recorder is compiled
-/// out (-DECFD_OBS=OFF records nothing).
+/// The scoreboard of a run that ended at \p end. Exits the bench when a
+/// state ring overflowed (a table must never report a truncated count) and
+/// when the recorder is compiled out (-DECFD_OBS=OFF records nothing).
 inline obs::QosScoreboard score_run(const obs::Recorder& rec, int n,
-                                    TimeUs end,
-                                    ProcessId victim = kNoProcess,
-                                    TimeUs crash_at = kTimeNever) {
+                                    TimeUs end) {
 #if defined(ECFD_OBS_DISABLED)
   (void)rec;
   (void)end;
-  (void)victim;
-  (void)crash_at;
   std::printf("QoS columns need the typed event recorder; rebuild with "
               "-DECFD_OBS=ON.\n");
   std::exit(0);
@@ -43,7 +36,6 @@ inline obs::QosScoreboard score_run(const obs::Recorder& rec, int n,
     }
   }
   obs::QosScoreboard sb(n);
-  if (victim != kNoProcess) sb.note_crash(victim, crash_at);
   sb.ingest_all(rec.merged());
   sb.finalize(end);
   return sb;

@@ -9,8 +9,9 @@
 #         nodes degrade to poll at runtime if the kernel lacks io_uring.
 #
 # Exit code 0 when both survivors ended up suspecting the killed node;
-# nonzero otherwise. (With fd=heartbeat_p/efficient_p/ecfd the final
-# suspected set is exactly the killed node; fd=stable_leader reports the
+# nonzero otherwise. fd is any stack name ecfd_node --help lists. (With
+# fd=heartbeat_p/efficient_p/ecfd/hier_c/swim the final suspected set is
+# exactly the killed node; fd=stable_leader reports the
 # pure-Omega view, which by design suspects everyone but the leader.)
 set -eu
 

@@ -1,5 +1,8 @@
 #include "consensus/fd_stacks.hpp"
 
+#include <algorithm>
+
+#include "core/c_to_p.hpp"
 #include "core/ecfd_compose.hpp"
 #include "fd/efficient_p.hpp"
 #include "fd/heartbeat_p.hpp"
@@ -7,15 +10,36 @@
 #include "fd/leader_candidate.hpp"
 #include "fd/ring_fd.hpp"
 #include "fd/scripted_fd.hpp"
+#include "fd/stable_leader.hpp"
 #include "fd/swim.hpp"
 
 namespace ecfd::consensus {
 
 namespace {
 
-FdInstallation install_ring(ProcessHost& host, const FdStackParams&) {
+/// A detector config with the params' period and timeouts.
+template <class Config>
+Config timed(const FdStackParams& params) {
+  Config c;
+  c.period = params.period;
+  c.initial_timeout = params.initial_timeout;
+  c.timeout_increment = params.timeout_increment;
+  return c;
+}
+
+/// A single protocol that is a complete ◇C module: no adapter needed.
+template <class Fd>
+FdInstallation install_complete(Fd& fd) {
   FdInstallation out;
-  auto& ring = host.emplace<fd::RingFd>();
+  out.ecfd = &fd;
+  out.suspect = &fd;
+  out.leader = &fd;
+  return out;
+}
+
+FdInstallation install_ring(Host& host, const FdStackParams& params) {
+  FdInstallation out;
+  auto& ring = host.emplace<fd::RingFd>(timed<fd::RingFd::Config>(params));
   out.owned = std::make_unique<core::EcfdFromRing>(&ring);
   out.ecfd = out.owned.get();
   out.suspect = &ring;
@@ -23,23 +47,9 @@ FdInstallation install_ring(ProcessHost& host, const FdStackParams&) {
   return out;
 }
 
-FdInstallation install_heartbeat(ProcessHost& host, const FdStackParams&) {
+FdInstallation install_heartbeat_with(Host& host,
+                                      const fd::HeartbeatP::Config& hbc) {
   FdInstallation out;
-  auto& hb = host.emplace<fd::HeartbeatP>();
-  auto from_p = std::make_unique<core::EcfdFromP>(&hb);
-  out.suspect = &hb;
-  out.leader = from_p.get();
-  out.ecfd = from_p.get();
-  out.owned = std::move(from_p);
-  return out;
-}
-
-FdInstallation install_heartbeat_adaptive(ProcessHost& host,
-                                          const FdStackParams&) {
-  FdInstallation out;
-  fd::HeartbeatP::Config hbc;
-  hbc.adaptive = true;
-  hbc.predictor.fallback_timeout = hbc.initial_timeout;
   auto& hb = host.emplace<fd::HeartbeatP>(hbc);
   auto from_p = std::make_unique<core::EcfdFromP>(&hb);
   out.suspect = &hb;
@@ -49,11 +59,25 @@ FdInstallation install_heartbeat_adaptive(ProcessHost& host,
   return out;
 }
 
-FdInstallation install_omega_heartbeat(ProcessHost& host,
-                                       const FdStackParams&) {
+FdInstallation install_heartbeat(Host& host, const FdStackParams& params) {
+  return install_heartbeat_with(host, timed<fd::HeartbeatP::Config>(params));
+}
+
+FdInstallation install_heartbeat_adaptive(Host& host,
+                                          const FdStackParams& params) {
+  auto hbc = timed<fd::HeartbeatP::Config>(params);
+  hbc.adaptive = true;
+  hbc.predictor.fallback_timeout = hbc.initial_timeout;
+  return install_heartbeat_with(host, hbc);
+}
+
+FdInstallation install_omega_heartbeat(Host& host,
+                                       const FdStackParams& params) {
   FdInstallation out;
-  auto& hb = host.emplace<fd::HeartbeatP>();
-  auto& lc = host.emplace<fd::LeaderCandidate>();
+  auto& hb =
+      host.emplace<fd::HeartbeatP>(timed<fd::HeartbeatP::Config>(params));
+  auto& lc = host.emplace<fd::LeaderCandidate>(
+      timed<fd::LeaderCandidate::Config>(params));
   out.owned = std::make_unique<core::EcfdFromSAndOmega>(&hb, &lc);
   out.ecfd = out.owned.get();
   out.suspect = &hb;
@@ -61,29 +85,26 @@ FdInstallation install_omega_heartbeat(ProcessHost& host,
   return out;
 }
 
-FdInstallation install_efficient_p(ProcessHost& host, const FdStackParams&) {
-  FdInstallation out;
-  // EfficientP is a complete ◇C module already; no adapter needed.
-  auto& eff = host.emplace<fd::EfficientP>();
-  out.ecfd = &eff;
-  out.suspect = &eff;
-  out.leader = &eff;
-  return out;
+FdInstallation install_efficient_p(Host& host, const FdStackParams& params) {
+  return install_complete(
+      host.emplace<fd::EfficientP>(timed<fd::EfficientP::Config>(params)));
 }
 
-FdInstallation install_scripted(ProcessHost& host,
-                                const FdStackParams& params) {
+FdInstallation install_scripted(Host& host, const FdStackParams& params) {
   FdInstallation out;
   const int n = host.n();
+  // Default params (a UDP node's) script no crashes.
+  const ProcessSet crashed =
+      params.crashed.universe_size() == n ? params.crashed : ProcessSet(n);
   ProcessId leader = params.leader;
   if (leader == kNoProcess) {
-    ProcessSet correct = ProcessSet::full(n) - params.crashed;
+    ProcessSet correct = ProcessSet::full(n) - crashed;
     leader = correct.empty() ? 0 : correct.first();
   }
   auto& scripted = host.emplace<fd::ScriptedFd>(
       params.ewa_only
           ? fd::ewa_only_script(n, host.self(), leader, params.stable_at)
-          : fd::stable_script(n, host.self(), params.crashed, leader,
+          : fd::stable_script(n, host.self(), crashed, leader,
                               params.stable_at));
   out.owned = std::make_unique<core::EcfdFromSAndOmega>(&scripted, &scripted);
   out.ecfd = out.owned.get();
@@ -92,21 +113,52 @@ FdInstallation install_scripted(ProcessHost& host,
   return out;
 }
 
-FdInstallation install_hier_c(ProcessHost& host, const FdStackParams&) {
+FdInstallation install_hier_c(Host& host, const FdStackParams& params) {
+  return install_complete(
+      host.emplace<fd::HierC>(timed<fd::HierC::Config>(params)));
+}
+
+FdInstallation install_swim(Host& host, const FdStackParams& params) {
+  // SWIM has no heartbeat timeout: a probe waits ack_timeout (a quarter
+  // period, at least 10 ms) and a suspicion ripens into a death after
+  // four periods, at least 400 ms. At the default 10 ms period these are
+  // the protocol's own 10 ms and 400 ms.
+  fd::SwimFd::Config c;
+  c.period = params.period;
+  c.ack_timeout = std::max<DurUs>(msec(10), params.period / 4);
+  c.timeout_increment = c.ack_timeout;
+  c.suspect_timeout = std::max<DurUs>(msec(400), 4 * params.period);
+  return install_complete(host.emplace<fd::SwimFd>(c));
+}
+
+FdInstallation install_stable_leader(Host& host, const FdStackParams& params) {
   FdInstallation out;
-  auto& hier = host.emplace<fd::HierC>();
-  out.ecfd = &hier;
-  out.suspect = &hier;
-  out.leader = &hier;
+  auto& sl =
+      host.emplace<fd::StableLeader>(timed<fd::StableLeader::Config>(params));
+  out.owned = std::make_unique<core::EcfdFromOmega>(host.n(), host.self(), &sl);
+  out.ecfd = out.owned.get();
+  out.suspect = out.owned.get();
+  out.leader = &sl;
   return out;
 }
 
-FdInstallation install_swim(ProcessHost& host, const FdStackParams&) {
+FdInstallation install_ecfd(Host& host, const FdStackParams& params) {
+  // The paper's composition: a stable Omega, lifted to ◇C, transformed to
+  // ◇P by the Fig. 2 algorithm (2(n-1) messages per period in total), and
+  // re-packaged as a ◇C with the transformed (accurate) lists.
   FdInstallation out;
-  auto& swim = host.emplace<fd::SwimFd>();
-  out.ecfd = &swim;
-  out.suspect = &swim;
-  out.leader = &swim;
+  auto& sl =
+      host.emplace<fd::StableLeader>(timed<fd::StableLeader::Config>(params));
+  core::CToP::Config tc;
+  tc.alive_period = params.period;
+  tc.list_period = params.period;
+  tc.initial_timeout = params.initial_timeout;
+  tc.timeout_increment = params.timeout_increment;
+  auto& ctp = host.emplace<core::CToP>(&sl, tc);
+  out.owned = std::make_unique<core::EcfdFromSAndOmega>(&ctp, &sl);
+  out.ecfd = out.owned.get();
+  out.suspect = &ctp;
+  out.leader = &sl;
   return out;
 }
 
@@ -138,6 +190,12 @@ const std::vector<FdStackInfo>& all_fd_stacks() {
       {FdStack::kSwim, "swim", "swim",
        "SWIM gossip membership as ◇C: O(1) msgs per node per period",
        &install_swim},
+      {FdStack::kStableLeader, "stable_leader", "stable_leader",
+       "stable Omega (accusation counters); suspects all but the leader",
+       &install_stable_leader},
+      {FdStack::kEcfd, "ecfd", "ecfd",
+       "the paper's stack: stable Omega -> ◇C -> Fig. 2 ◇P, composed",
+       &install_ecfd},
   };
   return kStacks;
 }
@@ -153,15 +211,24 @@ const FdStackInfo* fd_stack_by_name(const std::string& s) {
   return nullptr;
 }
 
-FdInstallation install_fd_stack(FdStack f, ProcessHost& host,
+std::string fd_stack_names() {
+  std::string out;
+  for (const FdStackInfo& info : all_fd_stacks()) {
+    if (!out.empty()) out += " | ";
+    out += info.name;
+  }
+  return out;
+}
+
+FdInstallation install_fd_stack(FdStack f, Host& host,
                                 const FdStackParams& params) {
   return fd_stack_info(f).install(host, params);
 }
 
 const std::vector<std::string>& fd_msg_prefixes() {
   static const std::vector<std::string> kPrefixes = {
-      "msg.hb_p.", "msg.ring.", "msg.lc.",   "msg.ofs.",
-      "msg.effp.", "msg.hier.", "msg.swim.",
+      "msg.hb_p.", "msg.ring.", "msg.lc.",  "msg.ofs.", "msg.effp.",
+      "msg.hier.", "msg.swim.", "msg.sl.",  "msg.ctp.",
   };
   return kPrefixes;
 }

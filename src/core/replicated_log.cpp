@@ -24,6 +24,9 @@ class LogReplica::SlotEnv final : public Env {
   }
 
   [[nodiscard]] TimeUs now() const override { return host().now(); }
+  [[nodiscard]] TimeUs fabric_now() const override {
+    return host().fabric_now();
+  }
   void send(ProcessId dst, Message m) override {
     const int type = m.protocol == kBroadcastPart ? kBroadcastTypeBase + m.type
                                                   : m.type;

@@ -14,8 +14,8 @@
 ///
 /// Protocols (failure detectors, transformations, consensus) are written
 /// against this interface only, so the identical protocol code runs on the
-/// deterministic discrete-event simulator (net/process_host.hpp) and on the
-/// real threaded runtime (runtime/thread_env.hpp).
+/// deterministic discrete-event simulator, the threaded runtime and real
+/// UDP sockets (the three extend net/host.hpp).
 
 namespace ecfd {
 
@@ -35,6 +35,13 @@ class Env {
   /// Current time (virtual in simulation, wall-clock in the threaded
   /// runtime), microseconds.
   [[nodiscard]] virtual TimeUs now() const = 0;
+
+  /// The substrate's own clock: scheduler time in the simulator, the
+  /// shared ThreadSystem clock in the threaded runtime, the monotonic clock
+  /// over UDP. It differs from now() only on a host with injected clock
+  /// skew. Typed events are stamped with it, so all hosts of a run record
+  /// on one timeline.
+  [[nodiscard]] virtual TimeUs fabric_now() const = 0;
 
   /// Sends \p m to process \p dst. The src field is stamped by the
   /// environment. Sending to self is allowed and delivered like any other
@@ -74,7 +81,7 @@ class Env {
 #else
     if (obs_ring_ == nullptr) return;
     obs::EventRing* ring = obs::is_hot_event(type) ? obs_ring_ : obs_state_ring_;
-    ring->push(now(), type, a, b, label);
+    ring->push(fabric_now(), type, a, b, label);
 #endif
   }
 

@@ -1,6 +1,5 @@
 #include "runtime/thread_env.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace ecfd::runtime {
@@ -19,16 +18,7 @@ thread_local Worker* t_worker = nullptr;
 
 ThreadHost::ThreadHost(ThreadSystem& sys, ProcessId id, int n,
                        std::uint64_t seed)
-    : sys_(sys), id_(id), n_(n), rng_(seed) {}
-
-void ThreadHost::add_protocol(std::unique_ptr<Protocol> proto) {
-  assert(proto != nullptr);
-  assert(!sys_.started() && "register protocols before start()");
-  const ProtocolId pid = proto->protocol_id();
-  assert(by_id_.find(pid) == by_id_.end());
-  by_id_.emplace(pid, proto.get());
-  owned_.push_back(std::move(proto));
-}
+    : InjectableHost(id, n, Rng(seed)), sys_(sys) {}
 
 void ThreadHost::post_at(TimeUs when, std::function<void()> fn) {
   enqueue(when, sim::InplaceAction([f = std::move(fn)]() mutable { f(); }));
@@ -36,47 +26,19 @@ void ThreadHost::post_at(TimeUs when, std::function<void()> fn) {
 
 void ThreadHost::crash() {
   record(EventType::kCrash);
-  crashed_.store(true, std::memory_order_release);
+  mark_crashed();
 }
 
-TimeUs ThreadHost::now() const { return sys_.now() + clock_error(); }
+TimeUs ThreadHost::now() const { return local_time(sys_.now()); }
 
-void ThreadHost::set_gray(std::uint32_t factor_milli, DurUs send_extra) {
-  assert(factor_milli > 0 && "gray factor must be positive");
-  gray_factor_milli_.store(factor_milli, std::memory_order_release);
-  gray_send_extra_.store(send_extra, std::memory_order_release);
-}
-
-void ThreadHost::set_clock_skew(std::int64_t offset_us,
-                                std::int32_t drift_ppm, DurUs bound_us) {
-  assert(drift_ppm > -1'000'000 && "clock cannot run backwards");
-  skew_offset_.store(offset_us, std::memory_order_relaxed);
-  skew_drift_ppm_.store(drift_ppm, std::memory_order_relaxed);
-  skew_bound_.store(bound_us, std::memory_order_relaxed);
-  skew_since_.store(sys_.now(), std::memory_order_relaxed);
-  skew_active_.store(offset_us != 0 || drift_ppm != 0,
-                     std::memory_order_release);
-}
-
-std::int64_t ThreadHost::clock_error() const {
-  if (!skew_active_.load(std::memory_order_acquire)) return 0;
-  const TimeUs t = sys_.now();
-  std::int64_t err =
-      skew_offset_.load(std::memory_order_relaxed) +
-      skew_drift_ppm_.load(std::memory_order_relaxed) *
-          (t - skew_since_.load(std::memory_order_relaxed)) / 1'000'000;
-  const std::int64_t bound = skew_bound_.load(std::memory_order_relaxed);
-  if (bound > 0) err = std::clamp(err, -bound, bound);
-  return err;
-}
+TimeUs ThreadHost::fabric_now() const { return sys_.now(); }
 
 void ThreadHost::send(ProcessId dst, Message m) {
   if (crashed()) return;
-  m.src = id_;
+  m.src = self();
   m.dst = dst;
   record(EventType::kSend, dst, m.protocol);
-  const DurUs extra = gray_send_extra_.load(std::memory_order_acquire);
-  if (extra > 0) {
+  if (const DurUs extra = send_extra(); extra > 0) {
     // Gray NIC: the message leaves the host late but otherwise intact.
     post_at(sys_.now() + extra, [this, msg = std::move(m)]() mutable {
       if (!crashed()) sys_.route(std::move(msg));
@@ -87,46 +49,27 @@ void ThreadHost::send(ProcessId dst, Message m) {
 }
 
 TimerId ThreadHost::set_timer(DurUs delay, std::function<void()> fn) {
-  const TimerId id = set_timer_impl(delay, std::move(fn));
-  if (id != kInvalidTimer) {
-    record(EventType::kTimerSet, -1, static_cast<std::int64_t>(id));
+  if (crashed()) return kInvalidTimer;
+  const TimeUs when = sys_.now() + fabric_delay(delay);
+  TimerId id;
+  if (!sys_.started() || on_owner_thread()) {
+    id = arm_on_owner(when, std::move(fn));
+  } else {
+    // Foreign thread: the wheel is single-threaded, so route the arm
+    // through the mailbox and hand back an id from the out-of-band
+    // namespace.
+    id = kForeignTimerBit |
+         foreign_seq_.fetch_add(1, std::memory_order_relaxed);
+    foreign_records_.fetch_add(1, std::memory_order_acq_rel);
+    arm_foreign(id, when, std::move(fn));
   }
+  record(EventType::kTimerSet, -1, static_cast<std::int64_t>(id));
   return id;
 }
 
-TimerId ThreadHost::set_timer_impl(DurUs delay, std::function<void()> fn) {
-  const std::uint32_t gf = gray_factor_milli_.load(std::memory_order_acquire);
-  if (gf != 1000) {
-    // Gray CPU: the host's deferred work runs factor× late.
-    delay = delay * static_cast<DurUs>(gf) / 1000;
-  }
-  const std::int32_t drift = skew_active_.load(std::memory_order_acquire)
-                                 ? skew_drift_ppm_.load(std::memory_order_relaxed)
-                                 : 0;
-  if (drift != 0) {
-    // A fast local clock fires its timers early in fabric time (and a
-    // slow one late): the host *believes* it waited `delay`.
-    delay = delay * 1'000'000 / (1'000'000 + drift);
-  }
-  if (crashed()) return kInvalidTimer;
-  const TimeUs when = sys_.now() + delay;
-  if (!sys_.started() || on_owner_thread()) {
-    return arm_on_owner(when, std::move(fn));
-  }
-  // Foreign thread: the wheel is single-threaded, so route the arm through
-  // the mailbox and hand back an id from the out-of-band namespace.
-  const TimerId fid =
-      kForeignTimerBit | foreign_seq_.fetch_add(1, std::memory_order_relaxed);
-  foreign_records_.fetch_add(1, std::memory_order_acq_rel);
-  arm_foreign(fid, when, std::move(fn));
-  return fid;
-}
-
 void ThreadHost::cancel_timer(TimerId id) {
-  if (id != kInvalidTimer) {
-    record(EventType::kTimerCancel, -1, static_cast<std::int64_t>(id));
-  }
   if (id == kInvalidTimer) return;
+  record(EventType::kTimerCancel, -1, static_cast<std::int64_t>(id));
   if (!sys_.started() || on_owner_thread()) {
     cancel_on_owner(id);
     return;
@@ -144,16 +87,9 @@ void ThreadHost::enqueue(TimeUs when, sim::InplaceAction fn) {
   worker_->notify(when);
 }
 
-void ThreadHost::dispatch(const Message& m) {
-  auto it = by_id_.find(m.protocol);
-  if (it == by_id_.end()) return;
-  record(EventType::kDeliver, m.src, m.protocol);
-  it->second->on_message(m);
-}
-
 TimerId ThreadHost::arm_on_owner(TimeUs when, std::function<void()> fn) {
   const WheelHandle h = worker_->wheel_.schedule(
-      when, static_cast<std::uint32_t>(id_), TimerWheel::Kind::kTimer,
+      when, static_cast<std::uint32_t>(self()), TimerWheel::Kind::kTimer,
       sim::InplaceAction([f = std::move(fn)]() mutable { f(); }));
   live_timers_.fetch_add(1, std::memory_order_acq_rel);
   worker_->publish_wheel_size();
@@ -165,7 +101,8 @@ void ThreadHost::arm_foreign(TimerId fid, TimeUs when,
   enqueue(sys_.now(),
           sim::InplaceAction([this, fid, when, f = std::move(fn)]() mutable {
             const WheelHandle h = worker_->wheel_.schedule(
-                when, static_cast<std::uint32_t>(id_), TimerWheel::Kind::kTimer,
+                when, static_cast<std::uint32_t>(self()),
+                TimerWheel::Kind::kTimer,
                 sim::InplaceAction([this, fid, f2 = std::move(f)]() mutable {
                   foreign_timers_.erase(fid);
                   foreign_records_.fetch_sub(1, std::memory_order_acq_rel);
@@ -390,9 +327,7 @@ void ThreadSystem::start() {
   for (auto& h : hosts_) {
     ThreadHost* host = h.get();
     host->mailbox_.push(WorkItem{t0, sim::InplaceAction([host]() {
-                                   for (auto& proto : host->owned_) {
-                                     proto->start();
-                                   }
+                                   host->start();
                                  })});
   }
   started_.store(true, std::memory_order_release);

@@ -11,7 +11,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "net/env.hpp"
+#include "net/host.hpp"
 #include "runtime/mailbox.hpp"
 #include "runtime/timer_wheel.hpp"
 
@@ -42,23 +42,9 @@ class Worker;
 
 /// One process: protocols plus an Env implementation. The host is a
 /// passive mailbox + timer bookkeeping owned by a Worker.
-class ThreadHost final : public Env {
+class ThreadHost final : public InjectableHost {
  public:
   ThreadHost(ThreadSystem& sys, ProcessId id, int n, std::uint64_t seed);
-
-  ThreadHost(const ThreadHost&) = delete;
-  ThreadHost& operator=(const ThreadHost&) = delete;
-
-  /// Registers a protocol (must happen before ThreadSystem::start()).
-  void add_protocol(std::unique_ptr<Protocol> proto);
-
-  template <class P, class... Args>
-  P& emplace(Args&&... args) {
-    auto owned = std::make_unique<P>(*this, std::forward<Args>(args)...);
-    P& ref = *owned;
-    add_protocol(std::move(owned));
-    return ref;
-  }
 
   /// Runs \p fn on this process's executor as soon as possible.
   void post(std::function<void()> fn) { post_at(now(), std::move(fn)); }
@@ -68,31 +54,6 @@ class ThreadHost final : public Env {
 
   /// Crash-stop: silences the process (its pending work is skipped).
   void crash();
-  [[nodiscard]] bool crashed() const {
-    return crashed_.load(std::memory_order_acquire);
-  }
-
-  /// Gray failure: the host stays alive but slow. Timer delays stretch by
-  /// factor_milli/1000 (1000 = healthy) and every send is held back by
-  /// \p send_extra before entering the fabric. Safe from any thread;
-  /// mirrors sim::ProcessHost::set_gray so the same scenario drives both
-  /// runtimes.
-  void set_gray(std::uint32_t factor_milli, DurUs send_extra);
-  [[nodiscard]] bool gray() const {
-    return gray_factor_milli_.load(std::memory_order_acquire) != 1000 ||
-           gray_send_extra_.load(std::memory_order_acquire) != 0;
-  }
-
-  /// Bounded clock skew: now() reads offset + drift_ppm-scaled elapsed
-  /// time ahead of (or behind) the fabric clock, clamped to ±bound_us
-  /// (bound 0 = unclamped; only mutation tests use that). Timers fire
-  /// early/late accordingly. Mirrors sim::ProcessHost::set_clock_skew.
-  void set_clock_skew(std::int64_t offset_us, std::int32_t drift_ppm,
-                      DurUs bound_us);
-  void clear_clock_skew() { set_clock_skew(0, 0, 0); }
-
-  /// Current now() − fabric-clock difference in microseconds.
-  [[nodiscard]] std::int64_t clock_error() const;
 
   /// Timers armed and not yet fired or cancelled. After quiescence (all
   /// timers fired or cancelled) this returns exactly 0 — the regression
@@ -110,13 +71,10 @@ class ThreadHost final : public Env {
 
   // --- Env ------------------------------------------------------------
   [[nodiscard]] TimeUs now() const override;
+  [[nodiscard]] TimeUs fabric_now() const override;
   void send(ProcessId dst, Message m) override;
   TimerId set_timer(DurUs delay, std::function<void()> fn) override;
   void cancel_timer(TimerId id) override;
-  TimerId set_timer_impl(DurUs delay, std::function<void()> fn);
-  [[nodiscard]] ProcessId self() const override { return id_; }
-  [[nodiscard]] int n() const override { return n_; }
-  Rng& rng() override { return rng_; }
 
  private:
   friend class ThreadSystem;
@@ -130,31 +88,11 @@ class ThreadHost final : public Env {
   // --- sharded-executor internals (owner-thread unless noted) ---------
   [[nodiscard]] bool on_owner_thread() const;
   void enqueue(TimeUs when, sim::InplaceAction fn);  // any thread
-  void dispatch(const Message& m);
   TimerId arm_on_owner(TimeUs when, std::function<void()> fn);
   void arm_foreign(TimerId fid, TimeUs when, std::function<void()> fn);
   void cancel_on_owner(TimerId id);
 
   ThreadSystem& sys_;
-  ProcessId id_;
-  int n_;
-  Rng rng_;  // only touched from this host's execution context
-
-  std::atomic<bool> crashed_{false};
-
-  // Gray-failure state (any thread reads, injector writes).
-  std::atomic<std::uint32_t> gray_factor_milli_{1000};
-  std::atomic<std::int64_t> gray_send_extra_{0};
-
-  // Clock-skew state. `skew_active_` gates the hot now() path; the fields
-  // behind it only change under set_clock_skew (rare) and are read
-  // relaxed — a torn read across an injector update momentarily blends
-  // old and new skew, which is within the model (skew is adversarial).
-  std::atomic<bool> skew_active_{false};
-  std::atomic<std::int64_t> skew_offset_{0};
-  std::atomic<std::int32_t> skew_drift_ppm_{0};
-  std::atomic<std::int64_t> skew_bound_{0};
-  std::atomic<TimeUs> skew_since_{0};
 
   // Sharded executor state.
   Worker* worker_{nullptr};
@@ -163,9 +101,6 @@ class ThreadHost final : public Env {
   std::unordered_map<TimerId, WheelHandle> foreign_timers_;  // owner thread
   std::atomic<std::size_t> foreign_records_{0};
   std::atomic<std::uint64_t> foreign_seq_{1};
-
-  std::vector<std::unique_ptr<Protocol>> owned_;
-  std::unordered_map<ProtocolId, Protocol*> by_id_;
 };
 
 /// One executor thread of the sharded runtime: owns a shard of the hosts,

@@ -1,26 +1,23 @@
 #include "transport/coalescer.hpp"
 
 #include <cassert>
+#include <string>
 #include <utility>
 
+#include "wire/codec.hpp"
 #include "wire/envelope.hpp"
 
 namespace ecfd::transport {
 
+// The envelope (header, per-frame length prefixes, CRC) must itself fit
+// one datagram.
+static_assert(Coalescer::kMaxFrames <= wire::kMaxFramesPerEnvelope);
+static_assert(Coalescer::kMaxBytes + wire::kEnvelopeOverheadBytes +
+                  Coalescer::kMaxFrames * wire::kEnvelopeFrameOverheadBytes <=
+              wire::kMaxFrameBytes);
+
 Coalescer::Coalescer(int n, CoalescerOptions opts)
-    : queues_(static_cast<std::size_t>(n)), opts_(opts) {
-  if (opts_.max_frames < 2) opts_.max_frames = 2;
-  if (opts_.max_frames > wire::kMaxFramesPerEnvelope) {
-    opts_.max_frames = wire::kMaxFramesPerEnvelope;
-  }
-  // The envelope (header, per-frame length prefixes, CRC) must itself fit
-  // one datagram; budget conservatively against the frame cap.
-  const std::size_t hard_cap =
-      wire::kMaxFrameBytes - wire::kEnvelopeOverheadBytes -
-      opts_.max_frames * wire::kEnvelopeFrameOverheadBytes;
-  if (opts_.max_bytes > hard_cap) opts_.max_bytes = hard_cap;
-  if (opts_.max_bytes < 256) opts_.max_bytes = 256;
-}
+    : queues_(static_cast<std::size_t>(n)), opts_(opts) {}
 
 void Coalescer::pack(PeerQueue& q, ProcessId dst, std::vector<Packed>* out) {
   if (q.frames.empty()) return;
@@ -39,20 +36,18 @@ void Coalescer::pack(PeerQueue& q, ProcessId dst, std::vector<Packed>* out) {
       }
       q.frames.clear();
       q.bytes = 0;
-      q.deadline = kTimeNever;
       --pending_;
       return;
     }
   }
   q.frames.clear();
   q.bytes = 0;
-  q.deadline = kTimeNever;
   --pending_;
   out->push_back(std::move(p));
 }
 
 void Coalescer::add(ProcessId dst, std::vector<std::uint8_t> frame,
-                    TimeUs now, std::vector<Packed>* ready) {
+                    std::vector<Packed>* ready) {
   assert(dst >= 0 && static_cast<std::size_t>(dst) < queues_.size());
   if (!opts_.enabled) {
     ready->push_back(Packed{dst, 1, std::move(frame)});
@@ -61,47 +56,24 @@ void Coalescer::add(ProcessId dst, std::vector<std::uint8_t> frame,
   PeerQueue& q = queues_[static_cast<std::size_t>(dst)];
   // An oversized frame never fits an envelope: flush the queue and pass
   // it through raw, preserving per-peer FIFO order.
-  if (frame.size() > opts_.max_bytes) {
+  if (frame.size() > kMaxBytes) {
     pack(q, dst, ready);
     ready->push_back(Packed{dst, 1, std::move(frame)});
     return;
   }
-  if (!q.frames.empty() && q.bytes + frame.size() > opts_.max_bytes) {
+  if (!q.frames.empty() && q.bytes + frame.size() > kMaxBytes) {
     pack(q, dst, ready);
   }
-  if (q.frames.empty()) {
-    q.deadline = now + opts_.flush_delay;
-    ++pending_;
-  }
+  if (q.frames.empty()) ++pending_;
   q.bytes += frame.size();
   q.frames.push_back(std::move(frame));
-  if (q.frames.size() >= opts_.max_frames) pack(q, dst, ready);
+  if (q.frames.size() >= kMaxFrames) pack(q, dst, ready);
 }
 
-void Coalescer::flush_due(TimeUs now, std::vector<Packed>* out) {
-  if (pending_ == 0) return;
-  for (std::size_t p = 0; p < queues_.size() && pending_ > 0; ++p) {
-    PeerQueue& q = queues_[p];
-    if (!q.frames.empty() && q.deadline <= now) {
-      pack(q, static_cast<ProcessId>(p), out);
-    }
-  }
-}
-
-void Coalescer::flush_all(std::vector<Packed>* out) {
-  if (pending_ == 0) return;
+void Coalescer::flush(std::vector<Packed>* out) {
   for (std::size_t p = 0; p < queues_.size() && pending_ > 0; ++p) {
     pack(queues_[p], static_cast<ProcessId>(p), out);
   }
-}
-
-TimeUs Coalescer::next_deadline() const {
-  TimeUs earliest = kTimeNever;
-  if (pending_ == 0) return earliest;
-  for (const PeerQueue& q : queues_) {
-    if (!q.frames.empty() && q.deadline < earliest) earliest = q.deadline;
-  }
-  return earliest;
 }
 
 }  // namespace ecfd::transport

@@ -6,7 +6,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cassert>
 #include <cerrno>
 #include <cstdio>
@@ -44,13 +43,14 @@ sockaddr_in sockaddr_of(DgramEnv::ExternalToken token) {
 }  // namespace
 
 DgramEnv::DgramEnv(Options opts)
-    : opts_(std::move(opts)),
-      rng_(opts_.seed * 0x9E3779B97F4A7C15ULL +
-           static_cast<std::uint64_t>(opts_.self) + 1),
+    : Host(opts.self, static_cast<int>(opts.peers.size()),
+           Rng(opts.seed * 0x9E3779B97F4A7C15ULL +
+               static_cast<std::uint64_t>(opts.self) + 1)),
+      opts_(std::move(opts)),
       epoch_(std::chrono::steady_clock::now()),
-      coalescer_(static_cast<int>(opts_.peers.size()), opts_.net.coalesce) {
+      coalescer_(n(), opts_.net.coalesce) {
   assert(!opts_.peers.empty());
-  assert(opts_.self >= 0 && opts_.self < n());
+  assert(self() >= 0 && self() < n());
   // Register-once, bump-direct: the wire paths below never build counter
   // name strings.
   peer_cells_.resize(static_cast<std::size_t>(n()));
@@ -68,8 +68,6 @@ DgramEnv::DgramEnv(Options opts)
   coalesce_hist_ = metrics_.histogram("net.coalesce_frames");
   envelope_sent_ = metrics_.counter("net.envelope_sent");
   envelope_recv_ = metrics_.counter("net.envelope_recv");
-  set_gray(opts_.gray_factor_milli, opts_.gray_send_extra);
-  set_clock_skew(opts_.skew_offset, opts_.skew_drift_ppm, opts_.skew_bound);
 }
 
 DgramEnv::~DgramEnv() {
@@ -77,7 +75,7 @@ DgramEnv::~DgramEnv() {
 }
 
 void DgramEnv::attach_recorder(obs::Recorder* rec) {
-  assert(!started_ && "attach_recorder before start()");
+  assert(!started() && "attach_recorder before start()");
   if (rec == nullptr) {
     bind_obs(nullptr, -1);
     return;
@@ -90,7 +88,7 @@ void DgramEnv::attach_recorder(obs::Recorder* rec) {
           .count() -
       now();
   rec->bind_hosts(n());
-  bind_obs(rec, opts_.self);
+  bind_obs(rec, self());
 }
 
 bool DgramEnv::open(std::string* error) {
@@ -151,68 +149,31 @@ bool DgramEnv::open(std::string* error) {
   return true;
 }
 
-void DgramEnv::add_protocol(std::unique_ptr<Protocol> proto) {
-  assert(!started_ && "register protocols before start()");
-  Protocol* p = proto.get();
-  const bool inserted = by_id_.emplace(p->protocol_id(), p).second;
-  assert(inserted && "duplicate protocol id on this node");
-  (void)inserted;
-  owned_.push_back(std::move(proto));
-}
-
-void DgramEnv::start() {
-  assert(fd_ >= 0 && "open() must succeed before start()");
-  started_ = true;
-  for (auto& p : owned_) p->start();
-}
-
-TimeUs DgramEnv::mono_now() const {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - epoch_)
-      .count();
-}
-
-TimeUs DgramEnv::now() const { return mono_now() + clock_error(); }
-
-void DgramEnv::set_gray(std::uint32_t factor_milli, DurUs send_extra) {
-  assert(factor_milli > 0 && "gray factor must be positive");
-  gray_factor_milli_ = factor_milli;
-  gray_send_extra_ = send_extra;
-}
-
-void DgramEnv::set_clock_skew(std::int64_t offset_us, std::int32_t drift_ppm,
-                              DurUs bound_us) {
-  assert(drift_ppm > -1'000'000 && "clock cannot run backwards");
-  skew_offset_ = offset_us;
-  skew_drift_ppm_ = drift_ppm;
-  skew_bound_ = bound_us;
-  skew_since_ = mono_now();
-  skew_active_ = offset_us != 0 || drift_ppm != 0;
-}
-
-std::int64_t DgramEnv::clock_error() const {
-  if (!skew_active_) return 0;
-  std::int64_t err = skew_offset_ +
-                     static_cast<std::int64_t>(skew_drift_ppm_) *
-                         (mono_now() - skew_since_) / 1'000'000;
-  if (skew_bound_ > 0) err = std::clamp(err, -skew_bound_, skew_bound_);
-  return err;
+void DgramEnv::count_message(const Message& m, bool dropped) {
+  const char* suffix = dropped ? ".dropped" : ".sent";
+  if (m.label == nullptr || m.label[0] == '\0') {
+    metrics_.add(message_counter_key(m) + suffix);
+    return;
+  }
+  LabelCells& cells = label_cells_[m.label];
+  obs::MetricsRegistry::Cell*& cell = dropped ? cells.dropped : cells.sent;
+  if (cell == nullptr) cell = metrics_.counter(message_counter_key(m) + suffix);
+  cell->fetch_add(1, std::memory_order_relaxed);
 }
 
 void DgramEnv::send(ProcessId dst, Message m) {
   assert(dst >= 0 && dst < n());
-  m.src = opts_.self;
+  m.src = self();
   m.dst = dst;
   record(EventType::kSend, dst, m.protocol);
 
-  if (dst == opts_.self) {
+  if (dst == self()) {
     // Self-sends never touch the wire (mirrors the other backends'
     // minimal-delay local delivery).
     set_timer(0, [this, m = std::move(m)]() { deliver(m); });
     return;
   }
 
-  const std::string key = message_counter_key(m);
   // While a recorder is attached, every outgoing frame carries a per-sender
   // causal sequence number (wire flag kFlagCausalSeq), and the matching
   // kWireSend event lets ecfd_trace stitch true happens-before send->deliver
@@ -226,22 +187,19 @@ void DgramEnv::send(ProcessId dst, Message m) {
   }
 
   // Injected chaos: drop, or hold the encoded frame back for a while.
-  if (opts_.loss > 0.0 && rng_.chance(opts_.loss)) {
-    metrics_.add(key + ".dropped");
+  if (opts_.loss > 0.0 && rng().chance(opts_.loss)) {
+    count_message(m, /*dropped=*/true);
     record(EventType::kDrop, dst, m.protocol);
     return;
   }
-  metrics_.add(key + ".sent");
+  count_message(m, /*dropped=*/false);
   if (causal_seq != 0) {
     record(EventType::kWireSend, dst, static_cast<std::int64_t>(causal_seq));
   }
-  // Gray NIC holdback stacks with the injected chaos delay; the holdback
-  // timer itself runs on the (possibly gray-stretched) local clock — a
-  // gray host is slow everywhere.
-  DurUs hold = gray_send_extra_;
-  if (opts_.max_extra_delay > 0) {
-    hold += rng_.range(opts_.min_extra_delay, opts_.max_extra_delay);
-  }
+  const DurUs hold =
+      opts_.max_extra_delay > 0
+          ? rng().range(opts_.min_extra_delay, opts_.max_extra_delay)
+          : 0;
   if (hold > 0) {
     set_timer(hold, [this, dst, frame = std::move(frame)]() mutable {
       transmit(dst, std::move(frame));
@@ -252,11 +210,11 @@ void DgramEnv::send(ProcessId dst, Message m) {
 }
 
 void DgramEnv::transmit(ProcessId dst, std::vector<std::uint8_t> frame) {
-  // The coalescer holds the frame until its peer's flush window closes;
+  // The coalescer holds the frame until the end of this loop iteration;
   // batches that hit the size caps pack right away and wait in out_ for
-  // the next flush_sends() (same loop iteration).
+  // the same flush_sends().
   std::vector<Coalescer::Packed> ready;
-  coalescer_.add(dst, std::move(frame), now(), &ready);
+  coalescer_.add(dst, std::move(frame), &ready);
   for (auto& p : ready) {
     out_.push_back(Datagram{p.dst, static_cast<std::uint32_t>(p.frames),
                             {}, std::move(p.bytes)});
@@ -264,7 +222,7 @@ void DgramEnv::transmit(ProcessId dst, std::vector<std::uint8_t> frame) {
 }
 
 void DgramEnv::send_external(ExternalToken token, Message m) {
-  m.src = opts_.self;
+  m.src = self();
   m.dst = kNoProcess;
   std::vector<std::uint8_t> frame;
   std::string error;
@@ -283,7 +241,7 @@ void DgramEnv::flush_sends() {
   // Size-triggered packs queued earlier in the iteration go first so the
   // per-peer FIFO survives coalescing.
   std::vector<Coalescer::Packed> packed;
-  coalescer_.flush_due(now(), &packed);
+  coalescer_.flush(&packed);
   if (out_.empty() && packed.empty() && ext_out_.empty()) return;
 
   std::vector<Datagram> wire_out;
@@ -313,11 +271,6 @@ void DgramEnv::note_dgram_sent(const Datagram& d, bool batched) {
 TimerId DgramEnv::set_timer(DurUs delay, std::function<void()> fn) {
   const TimerId id = next_timer_++;
   if (delay < 0) delay = 0;
-  if (gray_factor_milli_ != 1000) {
-    // Gray CPU: deferred work runs factor× late. Skew drift needs no
-    // counterpart here — timers live in the skewed clock already.
-    delay = delay * static_cast<DurUs>(gray_factor_milli_) / 1000;
-  }
   timers_.push(Timer{now() + delay, next_seq_++, id, std::move(fn)});
   record(EventType::kTimerSet, -1, static_cast<std::int64_t>(id));
   return id;
@@ -352,13 +305,7 @@ void DgramEnv::fire_due_timers() {
 }
 
 void DgramEnv::deliver(const Message& m) {
-  const auto it = by_id_.find(m.protocol);
-  if (it == by_id_.end()) {
-    metrics_.add("net.unknown_protocol");
-    return;
-  }
-  record(EventType::kDeliver, m.src, m.protocol);
-  it->second->on_message(m);
+  if (!dispatch(m)) metrics_.add("net.unknown_protocol");
 }
 
 void DgramEnv::handle_frame(const std::uint8_t* data, std::size_t len,
@@ -373,7 +320,7 @@ void DgramEnv::handle_frame(const std::uint8_t* data, std::size_t len,
   // src = kNoProcess marks a frame from outside the universe (a kv
   // client); route it to the external handler with the sender's address
   // token so a reply can find its way back.
-  if (decoded->dst == opts_.self && decoded->src < 0 && external_) {
+  if (decoded->dst == self() && decoded->src < 0 && external_) {
     metrics_.add("net.recv_external");
     record(EventType::kDeliver, kNoProcess, decoded->protocol);
     external_(from_token, *decoded);
@@ -381,7 +328,7 @@ void DgramEnv::handle_frame(const std::uint8_t* data, std::size_t len,
   }
   // A frame for another node (misconfigured peer table, stale sender)
   // is rejected here — protocols only ever see their own traffic.
-  if (decoded->dst != opts_.self || decoded->src < 0 || decoded->src >= n()) {
+  if (decoded->dst != self() || decoded->src < 0 || decoded->src >= n()) {
     metrics_.add("net.misaddressed");
     return;
   }
@@ -424,12 +371,6 @@ void DgramEnv::poll_once(DurUs max_wait) {
   if (next != kTimeNever) {
     const DurUs until_timer = next - now();
     if (until_timer < wait) wait = until_timer;
-  }
-  // A batch held back by a nonzero flush_delay must not be overslept.
-  const TimeUs held = coalescer_.next_deadline();
-  if (held != kTimeNever) {
-    const DurUs until_flush = held - now();
-    if (until_flush < wait) wait = until_flush;
   }
   if (wait < 0) wait = 0;
 

@@ -10,7 +10,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "net/env.hpp"
+#include "net/host.hpp"
 #include "obs/metrics.hpp"
 #include "transport/coalescer.hpp"
 #include "transport/node_config.hpp"
@@ -21,10 +21,12 @@
 /// One DgramEnv is one process of the universe: it owns a bound UDP
 /// socket, a single-threaded event loop interleaving datagram receipt with
 /// wall-clock timers, the wire codec routing (decode, misaddressing,
-/// external clients), injected chaos, the unified metrics registry, and —
-/// new in this layer — the per-peer tick coalescer that folds every frame
-/// due to a peer in one flush window into a single batch-envelope datagram
+/// external clients), injected loss and delay, the unified metrics
+/// registry, and the per-peer tick coalescer that folds every frame due to
+/// a peer in one loop iteration into a single batch-envelope datagram
 /// (wire/envelope.hpp, the paper's §4 piggybacking carried to the wire).
+/// The protocol table is net/host.hpp's. Faults are real ones: a node
+/// crashes by dying (kill -9), and its clock is the monotonic clock.
 ///
 /// What a concrete backend adds is only the syscall discipline:
 ///   * SocketEnv (socket_env.hpp): poll(2) + sendmmsg/recvmmsg batching —
@@ -44,19 +46,13 @@
 
 namespace ecfd::transport {
 
-/// Runtime-tunable wire knobs (previously hardcoded constants in
-/// socket_env.hpp; lifted so bench_net can sweep them and the INI [net]
-/// section can pin them per cluster).
+/// The wire's one tuning knob: the INI [net] section and bench_net's
+/// ablation switch coalescing per cluster.
 struct NetTuning {
-  std::size_t send_batch{64};  ///< datagrams per sendmmsg(2) syscall
-  std::size_t recv_batch{16};  ///< datagrams per recvmmsg(2) syscall
-  bool mmsg{true};  ///< start on sendmmsg/recvmmsg (auto-clears on ENOSYS)
-  std::size_t uring_depth{512};       ///< io_uring SQ entries
-  std::size_t uring_recv_buffers{64}; ///< provided-buffer ring entries
-  CoalescerOptions coalesce;          ///< per-peer tick coalescing
+  CoalescerOptions coalesce;  ///< per-peer tick coalescing
 };
 
-class DgramEnv : public Env {
+class DgramEnv : public Host {
  public:
   struct Options {
     ProcessId self{0};
@@ -69,20 +65,6 @@ class DgramEnv : public Env {
     double loss{0.0};
     DurUs min_extra_delay{0};
     DurUs max_extra_delay{0};
-
-    /// Gray failure from birth: timer delays stretch by
-    /// gray_factor_milli/1000 (1000 = healthy) and every outgoing frame is
-    /// held back by gray_send_extra. Also settable at runtime via
-    /// set_gray(); mirrors sim::ProcessHost / runtime::ThreadHost.
-    std::uint32_t gray_factor_milli{1000};
-    DurUs gray_send_extra{0};
-
-    /// Bounded clock skew from birth: now() runs skew_offset ahead plus
-    /// skew_drift_ppm, clamped to ±skew_bound (0 = unclamped). Also
-    /// settable at runtime via set_clock_skew().
-    std::int64_t skew_offset{0};
-    std::int32_t skew_drift_ppm{0};
-    DurUs skew_bound{0};
 
     NetTuning net;
   };
@@ -97,20 +79,6 @@ class DgramEnv : public Env {
   /// (io_uring setup for UringEnv). Must succeed before start().
   bool open(std::string* error = nullptr);
 
-  /// Registers a protocol (before start()).
-  void add_protocol(std::unique_ptr<Protocol> proto);
-
-  template <class P, class... Args>
-  P& emplace(Args&&... args) {
-    auto owned = std::make_unique<P>(*this, std::forward<Args>(args)...);
-    P& ref = *owned;
-    add_protocol(std::move(owned));
-    return ref;
-  }
-
-  /// Invokes Protocol::start() on every registered protocol.
-  void start();
-
   /// Runs the event loop for \p dur of wall-clock time (or until stop()).
   void run_for(DurUs dur);
 
@@ -121,27 +89,6 @@ class DgramEnv : public Env {
   /// Makes the current run_for/run_until return promptly; callable from a
   /// timer or message callback.
   void stop() { stopping_ = true; }
-
-  /// Gray failure at runtime: alive but slow. Timer delays (including the
-  /// heartbeat schedule) stretch by factor_milli/1000; outgoing frames are
-  /// held back by \p send_extra before the coalescer sees them.
-  void set_gray(std::uint32_t factor_milli, DurUs send_extra);
-  [[nodiscard]] bool gray() const {
-    return gray_factor_milli_ != 1000 || gray_send_extra_ != 0;
-  }
-
-  /// Bounded clock skew at runtime. now() reads
-  /// offset + drift_ppm · elapsed/1e6 ahead of the monotonic clock, the
-  /// error clamped to ±bound_us (0 = unclamped; only mutation tests use
-  /// that). Timers live in the skewed clock, so a fast clock fires them
-  /// early in wall time — no separate delay adjustment needed here, unlike
-  /// the simulator whose scheduler runs on global time.
-  void set_clock_skew(std::int64_t offset_us, std::int32_t drift_ppm,
-                      DurUs bound_us);
-  void clear_clock_skew() { set_clock_skew(0, 0, 0); }
-
-  /// Current now() − monotonic-clock difference in microseconds.
-  [[nodiscard]] std::int64_t clock_error() const;
 
   /// The backend's short name ("poll" or "uring"), for logs and reports.
   [[nodiscard]] virtual const char* backend_name() const = 0;
@@ -197,15 +144,12 @@ class DgramEnv : public Env {
   void send_external(ExternalToken token, Message m);
 
   // --- Env --------------------------------------------------------------
-  [[nodiscard]] TimeUs now() const override;
+  /// The monotonic clock, microseconds since construction.
+  [[nodiscard]] TimeUs now() const override { return mono_now(); }
+  [[nodiscard]] TimeUs fabric_now() const override { return mono_now(); }
   void send(ProcessId dst, Message m) override;
   TimerId set_timer(DurUs delay, std::function<void()> fn) override;
   void cancel_timer(TimerId id) override;
-  [[nodiscard]] ProcessId self() const override { return opts_.self; }
-  [[nodiscard]] int n() const override {
-    return static_cast<int>(opts_.peers.size());
-  }
-  Rng& rng() override { return rng_; }
 
  protected:
   /// One wire datagram, ready for the backend's send syscall. addr empty
@@ -277,13 +221,30 @@ class DgramEnv : public Env {
   /// Queues an encoded frame for \p dst in the coalescer; the wire
   /// syscall happens at the next flush_sends().
   void transmit(ProcessId dst, std::vector<std::uint8_t> frame);
-  /// Packs everything due out of the coalescer and hands the datagrams to
-  /// the backend.
+  /// Packs everything queued in the coalescer and hands the datagrams to
+  /// the backend: the end of every loop iteration is a flush boundary.
   void flush_sends();
   /// Decodes one single-frame datagram and routes it.
   void handle_frame(const std::uint8_t* data, std::size_t len,
                     ExternalToken from_token);
   void deliver(const Message& m);
+  [[nodiscard]] TimeUs mono_now() const {
+    return std::chrono::duration_cast<std::chrono::microseconds>(
+               std::chrono::steady_clock::now() - epoch_)
+        .count();
+  }
+
+  /// Bumps "msg.<label>.sent" or ".dropped" for one logical message.
+  void count_message(const Message& m, bool dropped);
+
+  /// Per-label counter cells, keyed by the label's address: labels are
+  /// string literals, so each key string is built once, on the label's
+  /// first send (or first drop). The empty label's numeric fallback key
+  /// takes the slow path, since distinct messages share it.
+  struct LabelCells {
+    obs::MetricsRegistry::Cell* sent{nullptr};
+    obs::MetricsRegistry::Cell* dropped{nullptr};
+  };
 
   /// Pre-registered per-peer counter cells (bind-time registration,
   /// direct bumps on the send/receive paths — see MetricsRegistry docs).
@@ -303,20 +264,8 @@ class DgramEnv : public Env {
   obs::Histogram* coalesce_hist_{nullptr};
   obs::MetricsRegistry::Cell* envelope_sent_{nullptr};
   obs::MetricsRegistry::Cell* envelope_recv_{nullptr};
-  Rng rng_;
+  std::unordered_map<const char*, LabelCells> label_cells_;
   std::chrono::steady_clock::time_point epoch_;
-
-  /// Microseconds since epoch_, unskewed (the fabric truth clock).
-  [[nodiscard]] TimeUs mono_now() const;
-
-  // Gray + skew state (single-threaded like everything else here).
-  std::uint32_t gray_factor_milli_{1000};
-  DurUs gray_send_extra_{0};
-  bool skew_active_{false};
-  std::int64_t skew_offset_{0};
-  std::int32_t skew_drift_ppm_{0};
-  DurUs skew_bound_{0};
-  TimeUs skew_since_{0};
 
   int fd_{-1};
   std::uint16_t bound_port_{0};
@@ -333,23 +282,14 @@ class DgramEnv : public Env {
   TimerId next_timer_{1};
   bool stopping_{false};
 
-  std::vector<std::unique_ptr<Protocol>> owned_;
-  std::unordered_map<ProtocolId, Protocol*> by_id_;
   ExternalHandler external_;
-  bool started_{false};
 };
 
 /// Maps a parsed config's [net] section onto the tuning struct (peers,
 /// seed, and chaos stay the caller's job).
 inline NetTuning net_tuning_from(const NodeConfig& cfg) {
   NetTuning t;
-  t.send_batch = static_cast<std::size_t>(cfg.net_send_batch);
-  t.recv_batch = static_cast<std::size_t>(cfg.net_recv_batch);
-  t.mmsg = cfg.net_mmsg;
   t.coalesce.enabled = cfg.net_coalesce;
-  t.coalesce.max_frames = static_cast<std::size_t>(cfg.net_max_envelope_frames);
-  t.coalesce.max_bytes = static_cast<std::size_t>(cfg.net_max_envelope_bytes);
-  t.coalesce.flush_delay = cfg.net_flush_delay;
   return t;
 }
 

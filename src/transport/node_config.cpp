@@ -160,36 +160,8 @@ std::optional<NodeConfig> parse_node_config(const std::string& text,
         return bad("unknown [chaos] key '" + key + "'");
       }
     } else if (section == "net") {
-      std::int64_t i = 0;
       if (key == "coalesce") {
         if (!parse_bool(value, &cfg.net_coalesce)) return bad("bad coalesce");
-      } else if (key == "max_envelope_frames") {
-        if (!parse_i64(value, &i) || i < 2 || i > 256) {
-          return bad("max_envelope_frames must be in 2..256");
-        }
-        cfg.net_max_envelope_frames = static_cast<int>(i);
-      } else if (key == "max_envelope_bytes") {
-        if (!parse_i64(value, &i) || i < 256 || i > 65536) {
-          return bad("max_envelope_bytes must be in 256..65536");
-        }
-        cfg.net_max_envelope_bytes = static_cast<int>(i);
-      } else if (key == "flush_delay_us") {
-        if (!parse_i64(value, &i) || i < 0 || i > 1000000) {
-          return bad("flush_delay_us must be in 0..1000000");
-        }
-        cfg.net_flush_delay = i;
-      } else if (key == "send_batch") {
-        if (!parse_i64(value, &i) || i < 1 || i > 1024) {
-          return bad("send_batch must be in 1..1024");
-        }
-        cfg.net_send_batch = static_cast<int>(i);
-      } else if (key == "recv_batch") {
-        if (!parse_i64(value, &i) || i < 1 || i > 1024) {
-          return bad("recv_batch must be in 1..1024");
-        }
-        cfg.net_recv_batch = static_cast<int>(i);
-      } else if (key == "mmsg") {
-        if (!parse_bool(value, &cfg.net_mmsg)) return bad("bad mmsg flag");
       } else {
         return bad("unknown [net] key '" + key + "'");
       }

@@ -16,9 +16,10 @@
 ///
 ///   [cluster]
 ///   seed = 1
-///   fd = efficient_p          ; heartbeat_p | efficient_p | stable_leader | ecfd
-///   period_ms = 50
-///   initial_timeout_ms = 250
+///   fd = efficient_p          ; any failure-detector stack name or alias
+///                             ; (consensus/fd_stacks.hpp; ecfd_node --help)
+///   period_ms = 50            ; the stack's period, initial timeout and
+///   initial_timeout_ms = 250  ; timeout increment
 ///   timeout_increment_ms = 100
 ///   consensus = false
 ///   backend = poll            ; poll | uring (uring degrades to poll when
@@ -34,16 +35,10 @@
 ///   min_delay_ms = 0
 ///   max_delay_ms = 0
 ///
-///   [net]                     ; optional wire tuning (defaults shown)
-///   coalesce = true           ; pack frames per peer per tick into one
-///                             ; batch-envelope datagram (§4 piggybacking)
-///   max_envelope_frames = 64  ; frames per envelope before immediate flush
-///   max_envelope_bytes = 1400 ; payload bytes per envelope (MTU-safe)
-///   flush_delay_us = 0        ; how long a frame may wait for company;
-///                             ; 0 = flush every event-loop iteration
-///   send_batch = 64           ; datagrams per sendmmsg(2) (poll backend)
-///   recv_batch = 16           ; datagrams per recvmmsg(2) (poll backend)
-///   mmsg = true               ; use sendmmsg/recvmmsg (poll backend)
+///   [net]                     ; optional
+///   coalesce = true           ; pack frames per peer per event-loop
+///                             ; iteration into one batch-envelope
+///                             ; datagram (§4 piggybacking)
 ///
 ///   [kv]                      ; optional replicated key-value service
 ///   enabled = true
@@ -81,14 +76,8 @@ struct NodeConfig {
   DurUs min_delay{0};
   DurUs max_delay{0};
 
-  // [net] — wire tuning, mapped onto transport::NetTuning by the caller.
+  // [net] — mapped onto transport::NetTuning by the caller.
   bool net_coalesce{true};
-  int net_max_envelope_frames{64};
-  int net_max_envelope_bytes{1400};
-  DurUs net_flush_delay{0};
-  int net_send_batch{64};
-  int net_recv_batch{16};
-  bool net_mmsg{true};
 
   // [kv] — the replicated key-value service (tools/ecfd_node --kv).
   bool kv_enabled{false};

@@ -14,18 +14,15 @@ namespace ecfd::transport {
 
 bool SocketEnv::wire_init(std::string* error) {
   (void)error;  // plain sockets: nothing beyond the base's bind can fail
-  send_batch_ = std::max<std::size_t>(1, options().net.send_batch);
-  recv_batch_ = std::max<std::size_t>(1, options().net.recv_batch);
-  use_mmsg_ = options().net.mmsg;
   return true;
 }
 
 void SocketEnv::wire_flush(std::vector<Datagram> out) {
   std::size_t done = 0;
-  std::vector<mmsghdr> msgs(send_batch_);
-  std::vector<iovec> iovs(send_batch_);
+  std::vector<mmsghdr> msgs(kSendBatch);
+  std::vector<iovec> iovs(kSendBatch);
   while (done < out.size()) {
-    const std::size_t batch = std::min(send_batch_, out.size() - done);
+    const std::size_t batch = std::min(kSendBatch, out.size() - done);
     if (batch >= 2 && use_mmsg_) {
       std::memset(msgs.data(), 0, batch * sizeof(mmsghdr));
       for (std::size_t i = 0; i < batch; ++i) {
@@ -77,15 +74,15 @@ void SocketEnv::wire_flush(std::vector<Datagram> out) {
 
 void SocketEnv::drain_socket() {
   while (use_mmsg_) {
-    if (recv_bufs_.size() < recv_batch_ * wire::kMaxFrameBytes) {
-      recv_bufs_.resize(recv_batch_ * wire::kMaxFrameBytes);
+    if (recv_bufs_.size() < kRecvBatch * wire::kMaxFrameBytes) {
+      recv_bufs_.resize(kRecvBatch * wire::kMaxFrameBytes);
     }
-    std::vector<mmsghdr> msgs(recv_batch_);
-    std::vector<iovec> iovs(recv_batch_);
-    std::vector<sockaddr_in> froms(recv_batch_);
-    std::memset(msgs.data(), 0, recv_batch_ * sizeof(mmsghdr));
-    std::memset(froms.data(), 0, recv_batch_ * sizeof(sockaddr_in));
-    for (std::size_t i = 0; i < recv_batch_; ++i) {
+    std::vector<mmsghdr> msgs(kRecvBatch);
+    std::vector<iovec> iovs(kRecvBatch);
+    std::vector<sockaddr_in> froms(kRecvBatch);
+    std::memset(msgs.data(), 0, kRecvBatch * sizeof(mmsghdr));
+    std::memset(froms.data(), 0, kRecvBatch * sizeof(sockaddr_in));
+    for (std::size_t i = 0; i < kRecvBatch; ++i) {
       iovs[i].iov_base = recv_bufs_.data() + i * wire::kMaxFrameBytes;
       iovs[i].iov_len = wire::kMaxFrameBytes;
       msgs[i].msg_hdr.msg_iov = &iovs[i];
@@ -94,7 +91,7 @@ void SocketEnv::drain_socket() {
       msgs[i].msg_hdr.msg_namelen = sizeof(froms[i]);
     }
     const int got = ::recvmmsg(sock_fd(), msgs.data(),
-                               static_cast<unsigned int>(recv_batch_), 0,
+                               static_cast<unsigned int>(kRecvBatch), 0,
                                nullptr);
     if (got < 0) {
       if (errno == ENOSYS || errno == EOPNOTSUPP) {
@@ -113,7 +110,7 @@ void SocketEnv::drain_socket() {
                   pack_external_token(ntohl(froms[i].sin_addr.s_addr),
                                       ntohs(froms[i].sin_port)));
     }
-    if (static_cast<std::size_t>(got) < recv_batch_) return;  // drained
+    if (static_cast<std::size_t>(got) < kRecvBatch) return;  // drained
   }
   std::uint8_t buf[wire::kMaxFrameBytes];
   for (;;) {

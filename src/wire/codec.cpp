@@ -9,7 +9,9 @@
 #include "broadcast/reliable_broadcast.hpp"
 #include "consensus/bodies.hpp"
 #include "core/replicated_log.hpp"
+#include "fd/hier_c.hpp"
 #include "fd/ring_fd.hpp"
+#include "fd/swim.hpp"
 #include "kv/command.hpp"
 #include "net/process_set.hpp"
 #include "wire/buffer.hpp"
@@ -257,6 +259,23 @@ bool encode_payload(const std::type_info* type, const void* body,
     const auto& b = *static_cast<const RingBody*>(body);
     encode_u64_vector(b.seq, w);
     encode_process_set(b.susp, w);
+  } else if (t == std::type_index(typeid(fd::HierDigest))) {
+    *kind = PayloadKind::kHierDigest;
+    const auto& b = *static_cast<const fd::HierDigest*>(body);
+    encode_process_set(b.susp, w);
+    w.i32(b.leader);
+  } else if (t == std::type_index(typeid(fd::SwimBody))) {
+    *kind = PayloadKind::kSwimBody;
+    const auto& b = *static_cast<const fd::SwimBody*>(body);
+    w.u64(b.seq);
+    w.i32(b.origin);
+    w.i32(b.subject);
+    w.u32(static_cast<std::uint32_t>(b.updates.size()));
+    for (const fd::SwimUpdate& u : b.updates) {
+      w.i32(u.subject);
+      w.u32(u.incarnation);
+      w.u8(u.state);
+    }
   } else if (t == std::type_index(typeid(EstimateBody))) {
     *kind = PayloadKind::kEstimate;
     const auto& b = *static_cast<const EstimateBody*>(body);
@@ -394,6 +413,38 @@ bool decode_payload(PayloadKind kind, WireReader& r, int depth,
       RingBody b;
       if (!decode_u64_vector(r, &b.seq, error)) return false;
       if (!decode_process_set(r, &b.susp, error)) return false;
+      emplace_payload(out, std::move(b));
+      return true;
+    }
+    case PayloadKind::kHierDigest: {
+      fd::HierDigest b;
+      if (!decode_process_set(r, &b.susp, error)) return false;
+      b.leader = r.i32();
+      if (!r.ok()) return set_error(error, "truncated hier digest");
+      emplace_payload(out, std::move(b));
+      return true;
+    }
+    case PayloadKind::kSwimBody: {
+      fd::SwimBody b;
+      b.seq = r.u64();
+      b.origin = r.i32();
+      b.subject = r.i32();
+      const std::uint32_t count = r.u32();
+      // 9 wire bytes per update: a huge count on a short frame is caught
+      // before any allocation.
+      if (!r.ok() || count > kMaxElements || r.remaining() < 9u * count) {
+        return set_error(error, "bad swim body header");
+      }
+      b.updates.resize(count);
+      for (fd::SwimUpdate& u : b.updates) {
+        u.subject = r.i32();
+        u.incarnation = r.u32();
+        u.state = r.u8();
+        if (u.state > fd::SwimFd::kDead) {
+          return set_error(error, "bad swim update state");
+        }
+      }
+      if (!r.ok()) return set_error(error, "truncated swim body");
       emplace_payload(out, std::move(b));
       return true;
     }

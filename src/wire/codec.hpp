@@ -68,6 +68,8 @@ enum class PayloadKind : std::uint16_t {
   kKvBatch = 12,    ///< kv::BatchBody (replicated command batch, over RB)
   kKvSnapshot = 13, ///< kv::SnapshotChunk (store snapshot transfer)
   kLogSlot = 14,    ///< core::SlotFrame (carries a nested payload)
+  kHierDigest = 15, ///< fd::HierDigest (hier_c digest-carrying beats)
+  kSwimBody = 16,   ///< fd::SwimBody (swim ping / ping-req / ack)
 };
 
 /// Encodes \p m into a self-contained frame. Returns false (and sets

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "check/sim_monitor.hpp"
+#include "consensus/fd_stacks.hpp"
 #include "net/scenario.hpp"
 #include "scenario_util.hpp"
 
@@ -42,6 +43,17 @@ struct OracleRefs {
 using Installer = std::function<OracleRefs(
     ProcessHost& host, ProcessId p,
     std::vector<std::shared_ptr<void>>& keepalive)>;
+
+/// Installs table stack \p stack (consensus/fd_stacks.hpp) at its default
+/// timing, keeping its adapter alive for the run.
+inline Installer stack_installer(consensus::FdStack stack) {
+  return [stack](ProcessHost& host, ProcessId,
+                 std::vector<std::shared_ptr<void>>& keepalive) {
+    consensus::FdInstallation inst = consensus::install_fd_stack(stack, host);
+    keepalive.push_back(std::shared_ptr<core::EcfdOracle>(std::move(inst.owned)));
+    return OracleRefs{inst.suspect, inst.leader};
+  };
+}
 
 /// The monitor's classification of one finished run. A property the run
 /// did not evaluate (no suspect or no leader output attached) has no

@@ -4,6 +4,7 @@
 // detectors.
 #include <gtest/gtest.h>
 
+#include "consensus/fd_stacks.hpp"
 #include "consensus/harness.hpp"
 
 namespace ecfd::consensus {
@@ -34,6 +35,7 @@ std::string param_name(const ::testing::TestParamInfo<SweepParam>& info) {
     case FdStack::kEfficientP: fd = "effp"; break;
     case FdStack::kScriptedStable: fd = "script"; break;
     case FdStack::kHeartbeatAdaptive: fd = "hbad"; break;
+    default: fd = fd_stack_info(p.fd).alias; break;
   }
   return algo + "_" + fd + "_n" + std::to_string(p.n) + "f" +
          std::to_string(p.crashes) + "s" + std::to_string(p.seed);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "check/fuzz.hpp"
 #include "fd/heartbeat_p.hpp"
 #include "fd/leader_candidate.hpp"
 #include "fd/scripted_fd.hpp"
@@ -119,6 +120,25 @@ TEST(EcfdFromSAndOmega, ComposesHeartbeatAndLeaderCandidate) {
   auto res = run_fd_scenario(cfg, install, sec(8));
   EXPECT_TRUE(res.eventually_consistent());
   EXPECT_EQ(res.omega_leader, 1);
+}
+
+// --- the FD stack table ------------------------------------------------
+
+// ecfd_sim and ecfd_node resolve names and aliases, ecfd_fuzz and repro
+// files canonical names only: every one must pick exactly its own row, and
+// rows sit at their enum ordinal (fuzz digests hash it).
+TEST(FdStackTable, NamesAndAliasesResolveToTheirOwnRow) {
+  const auto& rows = consensus::all_fd_stacks();
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const consensus::FdStackInfo& info = rows[i];
+    EXPECT_EQ(static_cast<std::size_t>(info.id), i) << info.name;
+    EXPECT_EQ(consensus::fd_stack_by_name(info.name), &info) << info.name;
+    EXPECT_EQ(consensus::fd_stack_by_name(info.alias), &info) << info.alias;
+    EXPECT_EQ(check::fd_stack_from_name(info.name), info.id) << info.name;
+  }
+  EXPECT_EQ(consensus::fd_stack_by_name("stable_leader")->id,
+            consensus::FdStack::kStableLeader);
+  EXPECT_EQ(consensus::fd_stack_by_name("ecfd")->id, consensus::FdStack::kEcfd);
 }
 
 }  // namespace

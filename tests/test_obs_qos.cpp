@@ -15,6 +15,9 @@
 #include <vector>
 
 #include "check/fuzz.hpp"
+#include "check/sim_monitor.hpp"
+#include "consensus/fd_stacks.hpp"
+#include "net/system.hpp"
 #include "obs/metrics.hpp"
 #include "obs/qos.hpp"
 #include "obs/recorder.hpp"
@@ -251,6 +254,74 @@ TEST(QosFuzz, DetectionTimesMatchMonitorWitnesses) { run_campaign(6); }
 // labels fuzz;slow): 50 crash + 50 churn seeds.
 TEST(QosFuzz, CampaignDetectionTimesMatchMonitorWitnesses) {
   run_campaign(50);
+}
+
+// --- a skewed host's crash ---------------------------------------------
+//
+// Events are stamped on the fabric clock, so a host whose local clock runs
+// ahead still records its own kCrash at the true crash time, and the
+// scoreboard needs no note_crash() to date it.
+
+TEST(QosSkew, SkewedHostRecordsItsCrashOnTheFabricClock) {
+#if defined(ECFD_OBS_DISABLED)
+  GTEST_SKIP() << "needs recorded transitions (ECFD_OBS=ON)";
+#else
+  constexpr int kN = 3;
+  constexpr ProcessId kVictim = 2;
+  const TimeUs crash_at = msec(1000);
+  const TimeUs end = msec(2000);
+  const DurUs monitor_period = msec(1);
+
+  System sys(kN, 11);
+  obs::Recorder rec(1 << 14);
+  sys.attach_recorder(&rec);
+  SimMonitor monitor(SimMonitor::Config{monitor_period});
+  ProcessSet correct = ProcessSet::full(kN);
+  correct.remove(kVictim);
+  monitor.install(sys, correct, end);
+  std::vector<consensus::FdInstallation> stacks;
+  for (ProcessId p = 0; p < kN; ++p) {
+    stacks.push_back(consensus::install_fd_stack(
+        consensus::FdStack::kHeartbeatP, sys.host(p)));
+    monitor.attach_fd(p, stacks.back().suspect, stacks.back().leader);
+  }
+  // The victim's clock runs 200 ms ahead, well past its detection time.
+  sys.host(kVictim).set_clock_skew(msec(200), 0, msec(200));
+  monitor.start();
+  sys.crash_at(kVictim, crash_at);
+  sys.start();
+  sys.run_until(end);
+
+  ASSERT_EQ(sys.host(kVictim).crash_time(), crash_at);
+  int crashes = 0;
+  for (const obs::Event& e : rec.merged()) {
+    if (e.type != obs::EventType::kCrash) continue;
+    ++crashes;
+    EXPECT_EQ(e.host, kVictim);
+    EXPECT_EQ(e.time, sys.host(kVictim).crash_time());
+  }
+  EXPECT_EQ(crashes, 1);
+
+  obs::QosScoreboard sb(kN);
+  sb.ingest_all(rec.merged());
+  sb.finalize(end);
+  EXPECT_EQ(sb.crash_time(kVictim), crash_at);
+  ASSERT_EQ(monitor.fd()->detections().size(), 1u);
+  const auto& w = monitor.fd()->detections().front();
+  for (ProcessId q : correct.members()) {
+    const TimeUs first = w.first_suspect[static_cast<std::size_t>(q)];
+    ASSERT_NE(first, kTimeNever) << "p" << q;
+    const obs::QosCell& c = sb.cell(q, kVictim);
+    ASSERT_EQ(c.detections, 1) << "p" << q;
+    EXPECT_EQ(c.mistakes, 0) << "p" << q;
+    // The monitor's interval is quantized up by at most one period at
+    // each end.
+    EXPECT_NEAR(c.mean_detection_us(),
+                static_cast<double>(first - w.crashed_seen),
+                static_cast<double>(monitor_period))
+        << "p" << q;
+  }
+#endif
 }
 
 // --- digest invisibility ----------------------------------------------

@@ -81,10 +81,14 @@ TEST(RingFd, TargetSkipsSuspectedProcesses) {
   EXPECT_TRUE(rings[0]->suspected().contains(1));
 }
 
+// The ◇C sweep over stacks of the FD table: the ring's seeds, then the
+// stable-Omega stacks a UDP node runs by default (stable_leader and the
+// paper's ecfd composition).
 struct SweepParam {
   std::uint64_t seed;
   int n;
   int crashes;
+  consensus::FdStack stack{consensus::FdStack::kRing};
 };
 
 class RingFdSweep : public ::testing::TestWithParam<SweepParam> {};
@@ -96,18 +100,28 @@ TEST_P(RingFdSweep, EventuallyConsistent) {
     // Crash from the middle of the ring, staggered.
     cfg.with_crash((param.n / 2 + i) % param.n, msec(400) + i * msec(500));
   }
-  auto res = run_fd_scenario(cfg, ring_installer(), sec(15));
+  auto res = run_fd_scenario(cfg, testutil::stack_installer(param.stack),
+                             sec(15));
   EXPECT_TRUE(res.eventually_consistent())
-      << "seed=" << param.seed << " n=" << param.n
-      << " crashes=" << param.crashes << res.summary();
+      << consensus::fd_stack_info(param.stack).name << " seed=" << param.seed
+      << " n=" << param.n << " crashes=" << param.crashes << res.summary();
 }
+
+constexpr auto kStableLeader = consensus::FdStack::kStableLeader;
+constexpr auto kEcfd = consensus::FdStack::kEcfd;
 
 INSTANTIATE_TEST_SUITE_P(
     Seeds, RingFdSweep,
     ::testing::Values(SweepParam{21, 4, 1}, SweepParam{22, 5, 2},
                       SweepParam{23, 6, 1}, SweepParam{24, 7, 3},
                       SweepParam{25, 5, 0}, SweepParam{26, 3, 1},
-                      SweepParam{27, 8, 2}));
+                      SweepParam{27, 8, 2},
+                      SweepParam{31, 4, 1, kStableLeader},
+                      SweepParam{32, 7, 3, kStableLeader},
+                      SweepParam{33, 5, 0, kStableLeader},
+                      SweepParam{34, 4, 1, kEcfd},
+                      SweepParam{35, 7, 3, kEcfd},
+                      SweepParam{36, 5, 0, kEcfd}));
 
 }  // namespace
 }  // namespace ecfd

@@ -17,7 +17,7 @@
 #include <thread>
 #include <vector>
 
-#include "fd/heartbeat_p.hpp"
+#include "consensus/fd_stacks.hpp"
 #include "net/protocol_ids.hpp"
 #include "transport/node_config.hpp"
 #include "wire/codec.hpp"
@@ -99,12 +99,14 @@ TEST(SocketTransport, HeartbeatPDetectsKilledPeerWithinDeadline) {
   ASSERT_TRUE(a.open(&error)) << error;
   ASSERT_TRUE(b.open(&error)) << error;
 
-  fd::HeartbeatP::Config cfg;
-  cfg.period = msec(25);
-  cfg.initial_timeout = msec(100);
-  cfg.timeout_increment = msec(50);
-  auto& fda = a.emplace<fd::HeartbeatP>(cfg);
-  auto& fdb = b.emplace<fd::HeartbeatP>(cfg);
+  consensus::FdStackParams params;
+  params.period = msec(25);
+  params.initial_timeout = msec(100);
+  params.timeout_increment = msec(50);
+  const auto fda =
+      consensus::install_fd_stack(consensus::FdStack::kHeartbeatP, a, params);
+  const auto fdb =
+      consensus::install_fd_stack(consensus::FdStack::kHeartbeatP, b, params);
   a.start();
   b.start();
 
@@ -114,7 +116,7 @@ TEST(SocketTransport, HeartbeatPDetectsKilledPeerWithinDeadline) {
     while (b_alive.load()) b.run_for(msec(20));
   });
   const bool trusted = a.run_until(
-      [&] { return !fda.suspected().contains(1); }, sec(5));
+      [&] { return !fda.suspect->suspected().contains(1); }, sec(5));
   EXPECT_TRUE(trusted);
 
   // Phase 2: p1 "crashes" — its event loop stops for good.
@@ -123,7 +125,7 @@ TEST(SocketTransport, HeartbeatPDetectsKilledPeerWithinDeadline) {
   (void)fdb;
 
   const bool suspected = a.run_until(
-      [&] { return fda.suspected().contains(1); }, sec(5));
+      [&] { return fda.suspect->suspected().contains(1); }, sec(5));
   EXPECT_TRUE(suspected);
   EXPECT_GT(a.counters().get("msg.hb_p.alive.sent"), 0);
 }

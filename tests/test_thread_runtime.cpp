@@ -7,12 +7,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <thread>
 
 #include "broadcast/reliable_broadcast.hpp"
+#include "consensus/fd_stacks.hpp"
 #include "core/consensus_c.hpp"
-#include "core/ecfd_compose.hpp"
-#include "fd/heartbeat_p.hpp"
 #include "net/protocol_ids.hpp"
 
 namespace ecfd::runtime {
@@ -29,6 +29,16 @@ bool eventually(int deadline_ms, const std::function<bool()>& pred) {
     sleep_ms(20);
   }
   return pred();
+}
+
+/// Evaluates \p pred on host \p p's executor, where that host's protocol
+/// state may be read, and returns its value. \p p must be alive.
+bool on_host(ThreadSystem& sys, ProcessId p,
+             const std::function<bool()>& pred) {
+  std::promise<bool> result;
+  std::future<bool> value = result.get_future();
+  sys.host(p).post([&] { result.set_value(pred()); });
+  return value.get();
 }
 
 class Counter final : public Protocol {
@@ -107,20 +117,28 @@ TEST(ThreadRuntime, HeartbeatDetectorSeesACrash) {
   cfg.min_delay = usec(100);
   cfg.max_delay = msec(2);
   ThreadSystem sys(cfg);
-  std::vector<fd::HeartbeatP*> hbs;
+  consensus::FdStackParams params;
+  params.period = msec(20);
+  params.initial_timeout = msec(100);
+  std::vector<consensus::FdInstallation> stacks;
   for (ProcessId p = 0; p < 3; ++p) {
-    fd::HeartbeatP::Config hc;
-    hc.period = msec(20);
-    hc.initial_timeout = msec(100);
-    hbs.push_back(&sys.host(p).emplace<fd::HeartbeatP>(hc));
+    stacks.push_back(consensus::install_fd_stack(
+        consensus::FdStack::kHeartbeatP, sys.host(p), params));
   }
   sys.start();
   sleep_ms(300);  // let heartbeats flow
   sys.host(2).crash();
+  const auto suspects = [&](ProcessId observer, ProcessId q) {
+    return on_host(sys, observer, [&] {
+      return stacks[static_cast<std::size_t>(observer)]
+          .suspect->suspected()
+          .contains(q);
+    });
+  };
   EXPECT_TRUE(eventually(5000, [&] {
-    return hbs[0]->suspected().contains(2) && hbs[1]->suspected().contains(2);
+    return suspects(0, 2) && suspects(1, 2);
   }));
-  EXPECT_FALSE(hbs[0]->suspected().contains(1));
+  EXPECT_FALSE(suspects(0, 1));
 }
 
 TEST(ThreadRuntime, ConsensusOnRealThreads) {
@@ -134,19 +152,19 @@ TEST(ThreadRuntime, ConsensusOnRealThreads) {
   cfg.max_delay = msec(2);
   ThreadSystem sys(cfg);
 
-  std::vector<std::unique_ptr<core::EcfdFromP>> oracles;
+  consensus::FdStackParams params;
+  params.period = msec(20);
+  params.initial_timeout = msec(100);
+  std::vector<consensus::FdInstallation> stacks;
   std::vector<core::ConsensusC*> cons;
   for (ProcessId p = 0; p < kN; ++p) {
-    fd::HeartbeatP::Config hc;
-    hc.period = msec(20);
-    hc.initial_timeout = msec(100);
-    auto& hb = sys.host(p).emplace<fd::HeartbeatP>(hc);
-    oracles.push_back(std::make_unique<core::EcfdFromP>(&hb));
+    stacks.push_back(consensus::install_fd_stack(
+        consensus::FdStack::kHeartbeatP, sys.host(p), params));
     auto& rb = sys.host(p).emplace<broadcast::ReliableBroadcast>();
     core::ConsensusC::Config cc;
     cc.poll_period = msec(10);
-    cons.push_back(&sys.host(p).emplace<core::ConsensusC>(
-        oracles.back().get(), &rb, cc));
+    cons.push_back(&sys.host(p).emplace<core::ConsensusC>(stacks.back().ecfd,
+                                                          &rb, cc));
   }
   // Decision results cross threads: collect them via the decide callback
   // under a mutex rather than poking protocol state from the test thread.

@@ -12,7 +12,9 @@
 #include "broadcast/reliable_broadcast.hpp"
 #include "consensus/bodies.hpp"
 #include "core/replicated_log.hpp"
+#include "fd/hier_c.hpp"
 #include "fd/ring_fd.hpp"
+#include "fd/swim.hpp"
 #include "kv/command.hpp"
 #include "net/process_set.hpp"
 #include "net/protocol_ids.hpp"
@@ -49,6 +51,8 @@ Message roundtrip(const Message& m) {
   EXPECT_STREQ(decoded->label, m.label);
   return *decoded;
 }
+
+void fix_crc(std::vector<std::uint8_t>& f);
 
 ProcessSet sample_set() {
   ProcessSet s(7);
@@ -125,6 +129,44 @@ TEST(WireCodec, RingBodies) {
     EXPECT_EQ(b.seq, body.seq);
     EXPECT_EQ(b.susp, body.susp);
   }
+}
+
+TEST(WireCodec, HierDigestBodies) {
+  fd::HierDigest body;
+  body.susp = sample_set();
+  body.leader = 4;
+  const Message out = roundtrip(
+      Message::make(protocol_ids::kHierC, 1, "hier.cell_beat", body));
+  EXPECT_EQ(out.as<fd::HierDigest>().susp, body.susp);
+  EXPECT_EQ(out.as<fd::HierDigest>().leader, 4);
+}
+
+TEST(WireCodec, SwimBodies) {
+  fd::SwimBody body;
+  body.seq = 0x1122334455667788ull;
+  body.origin = 3;
+  body.subject = 5;
+  body.updates.push_back(fd::SwimUpdate{2, 7, fd::SwimFd::kSuspect});
+  body.updates.push_back(fd::SwimUpdate{6, 0, fd::SwimFd::kDead});
+  const Message out =
+      roundtrip(Message::make(protocol_ids::kSwim, 2, "swim.ping_req", body));
+  const auto& b = out.as<fd::SwimBody>();
+  EXPECT_EQ(b.seq, body.seq);
+  EXPECT_EQ(b.origin, 3);
+  EXPECT_EQ(b.subject, 5);
+  ASSERT_EQ(b.updates.size(), 2u);
+  EXPECT_EQ(b.updates[1].subject, 6);
+  EXPECT_EQ(b.updates[0].incarnation, 7u);
+  EXPECT_EQ(b.updates[1].state, fd::SwimFd::kDead);
+
+  // A state past kDead is rejected, not delivered.
+  body.updates.resize(1);
+  std::vector<std::uint8_t> frame =
+      encode_ok(Message::make(protocol_ids::kSwim, 2, "swim.ping_req", body));
+  ASSERT_EQ(frame[frame.size() - 5], fd::SwimFd::kSuspect);  // before the CRC
+  frame[frame.size() - 5] = 3;
+  fix_crc(frame);
+  EXPECT_FALSE(decode_message(frame).has_value());
 }
 
 TEST(WireCodec, ConsensusBodies) {

@@ -12,12 +12,16 @@
 //             [--report-ms MS] [--metrics-port P]
 //             [--metrics FILE] [--trace FILE]
 //
-//   --fd F       heartbeat_p   all-to-all heartbeat ◇P (n(n-1) msgs/period)
+//   --fd F       any failure-detector stack of consensus/fd_stacks.hpp, by
+//                name or alias (--help lists them), e.g.
+//                heartbeat_p   all-to-all heartbeat ◇P (n(n-1) msgs/period)
 //                efficient_p   Section 4 piggybacked 2(n-1) ◇P + Omega
 //                stable_leader ADFT stable Omega (accusation counters)
 //                ecfd          the paper's stack: stable Omega -> ◇C ->
 //                              Fig. 2 transformation to ◇P
-//                (overrides the config's `fd` key)
+//                hier_c, swim  the scalable ◇C stacks
+//                timed by the config's period/timeout keys (overrides the
+//                config's `fd` key)
 //   --backend B  poll          poll(2) + sendmmsg/recvmmsg UDP event loop
 //                uring         io_uring: multishot receive into registered
 //                              buffers, one submit syscall per tick of
@@ -70,13 +74,9 @@
 #include <string>
 
 #include "broadcast/reliable_broadcast.hpp"
-#include "core/c_to_p.hpp"
+#include "consensus/fd_stacks.hpp"
 #include "core/consensus_c.hpp"
-#include "core/ecfd_compose.hpp"
 #include "core/replicated_log.hpp"
-#include "fd/efficient_p.hpp"
-#include "fd/heartbeat_p.hpp"
-#include "fd/stable_leader.hpp"
 #include "kv/service.hpp"
 #include "obs/flight.hpp"
 #include "obs/http_export.hpp"
@@ -85,6 +85,7 @@
 #include "transport/node_config.hpp"
 
 using namespace ecfd;
+using consensus::FdInstallation;
 using transport::DgramEnv;
 using transport::NodeConfig;
 
@@ -99,7 +100,7 @@ void usage() {
       "\n"
       "  --config FILE   cluster config (required; see README quickstart)\n"
       "  --id N          which peer-table row is this process (required)\n"
-      "  --fd F          heartbeat_p | efficient_p | stable_leader | ecfd\n"
+      "  --fd F          " << consensus::fd_stack_names() << "\n"
       "  --backend B     poll | uring (uring degrades to poll when missing)\n"
       "  --consensus     also run the ◇C consensus engine\n"
       "  --kv            serve the replicated key-value store ([kv] config)\n"
@@ -114,71 +115,8 @@ void usage() {
       "                  flight image at FILE (ecfd_trace --postmortem)\n";
 }
 
-/// The assembled detector stack; all protocols are owned by the env, the
-/// oracles by this struct.
-struct Stack {
-  const SuspectOracle* suspects{nullptr};     ///< may be null (pure Omega)
-  const LeaderOracle* leader{nullptr};        ///< may be null (pure ◇P)
-  const core::EcfdOracle* ecfd{nullptr};      ///< set when consensus-capable
-  std::unique_ptr<core::EcfdOracle> adapter;  ///< owns any composition glue
-};
-
-Stack build_fd(DgramEnv& env, const NodeConfig& cfg, const std::string& fd) {
-  Stack s;
-  if (fd == "heartbeat_p") {
-    fd::HeartbeatP::Config c;
-    c.period = cfg.period;
-    c.initial_timeout = cfg.initial_timeout;
-    c.timeout_increment = cfg.timeout_increment;
-    auto& hb = env.emplace<fd::HeartbeatP>(c);
-    s.suspects = &hb;
-    s.adapter = std::make_unique<core::EcfdFromP>(&hb);
-    s.ecfd = s.adapter.get();
-    s.leader = s.adapter.get();
-  } else if (fd == "efficient_p") {
-    fd::EfficientP::Config c;
-    c.period = cfg.period;
-    c.initial_timeout = cfg.initial_timeout;
-    c.timeout_increment = cfg.timeout_increment;
-    auto& eff = env.emplace<fd::EfficientP>(c);
-    s.suspects = &eff;
-    s.leader = &eff;
-    s.ecfd = &eff;
-  } else if (fd == "stable_leader") {
-    fd::StableLeader::Config c;
-    c.period = cfg.period;
-    c.initial_timeout = cfg.initial_timeout;
-    c.timeout_increment = cfg.timeout_increment;
-    auto& sl = env.emplace<fd::StableLeader>(c);
-    s.leader = &sl;
-    s.adapter = std::make_unique<core::EcfdFromOmega>(env.n(), env.self(), &sl);
-    s.ecfd = s.adapter.get();
-    s.suspects = s.adapter.get();
-  } else if (fd == "ecfd") {
-    // The paper's composition: a stable Omega, lifted to ◇C, transformed
-    // to ◇P by the Fig. 2 algorithm (2(n-1) messages per period total),
-    // and re-packaged as a ◇C with the transformed (accurate) lists.
-    fd::StableLeader::Config c;
-    c.period = cfg.period;
-    c.initial_timeout = cfg.initial_timeout;
-    c.timeout_increment = cfg.timeout_increment;
-    auto& sl = env.emplace<fd::StableLeader>(c);
-    core::CToP::Config tc;
-    tc.alive_period = cfg.period;
-    tc.list_period = cfg.period;
-    tc.initial_timeout = cfg.initial_timeout;
-    tc.timeout_increment = cfg.timeout_increment;
-    auto& ctp = env.emplace<core::CToP>(&sl, tc);
-    s.suspects = &ctp;
-    s.leader = &sl;
-    s.adapter = std::make_unique<core::EcfdFromSAndOmega>(&ctp, &sl);
-    s.ecfd = s.adapter.get();
-  }
-  return s;
-}
-
 std::string report_line(TimeUs t, ProcessId self, const std::string& fd,
-                        const char* backend, const Stack& stack,
+                        const char* backend, const FdInstallation& stack,
                         const consensus::ConsensusProtocol* cons,
                         const kv::KvService* kvs,
                         obs::MetricsRegistry& counters, int n) {
@@ -186,9 +124,9 @@ std::string report_line(TimeUs t, ProcessId self, const std::string& fd,
                     ",\"node\":" + std::to_string(self) + ",\"fd\":\"" + fd +
                     "\",\"backend\":\"" + backend + "\"";
   out += ",\"suspected\":[";
-  if (stack.suspects != nullptr) {
+  if (stack.suspect != nullptr) {
     bool first = true;
-    for (const ProcessId q : stack.suspects->suspected().members()) {
+    for (const ProcessId q : stack.suspect->suspected().members()) {
       if (!first) out += ",";
       out += std::to_string(q);
       first = false;
@@ -299,7 +237,14 @@ int main(int argc, char** argv) {
               << ")\n";
     return 2;
   }
-  const std::string fd_name = fd_override.empty() ? cfg->fd : fd_override;
+  const std::string fd_arg = fd_override.empty() ? cfg->fd : fd_override;
+  const consensus::FdStackInfo* fd_info = consensus::fd_stack_by_name(fd_arg);
+  if (fd_info == nullptr) {
+    std::cerr << "ecfd_node: unknown fd '" << fd_arg << "' ("
+              << consensus::fd_stack_names() << ")\n";
+    return 2;
+  }
+  const std::string fd_name = fd_info->name;
   const bool want_consensus = consensus_flag || cfg->consensus;
 
   const std::string backend_name =
@@ -402,12 +347,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  Stack stack = build_fd(env, *cfg, fd_name);
-  if (stack.suspects == nullptr && stack.leader == nullptr) {
-    std::cerr << "ecfd_node: unknown fd '" << fd_name
-              << "' (heartbeat_p | efficient_p | stable_leader | ecfd)\n";
-    return 2;
-  }
+  consensus::FdStackParams fd_params;
+  fd_params.period = cfg->period;
+  fd_params.initial_timeout = cfg->initial_timeout;
+  fd_params.timeout_increment = cfg->timeout_increment;
+  const FdInstallation stack = consensus::install_fd_stack(fd_info->id, env,
+                                                           fd_params);
 
   core::ConsensusC* cons = nullptr;
   if (want_consensus) {
@@ -423,10 +368,6 @@ int main(int argc, char** argv) {
   core::LogReplica* kv_log = nullptr;
   kv::KvService* kvs = nullptr;
   if (kv_flag || cfg->kv_enabled) {
-    if (stack.ecfd == nullptr) {
-      std::cerr << "ecfd_node: --kv requires a consensus-capable fd\n";
-      return 2;
-    }
     core::LogReplica::Config lc;
     lc.pipeline_depth = cfg->kv_pipeline_depth;
     lc.snapshot_every = cfg->kv_snapshot_every;
